@@ -23,7 +23,6 @@ from .rules import (
     build_expr,
     canonical_notation,
     count_distinct_propositions,
-    evaluate_procedure,
     evaluate_rule,
 )
 from .simulator import (
@@ -73,7 +72,6 @@ __all__ = [
     "draw_condition_pools",
     "encode",
     "estimate_performance",
-    "evaluate_procedure",
     "evaluate_rule",
     "fitness_f",
     "genome_length",

@@ -14,21 +14,18 @@ import io
 import json
 import os
 import sys
+from dataclasses import fields, replace
 
 from . import ga as ga_mod
 from .config import JobConfig, load_config
 from .error_model import critical_errors
-from .errors import (
-    ConfigError,
-    InfeasibleAssayError,
-    ProcedureParseError,
-    QcDesignError,
-)
+from .errors import ConfigError, ProcedureParseError, QcDesignError
+from .ga import report_dict
 from .library import builtin_library, load_library_file, parse_procedure
 from .objective import comparison_f1, fitness_f
 from .rng import new_stream
-from .simulator import SimulationPlan, estimate_performance
-from .stats import compare_procedures
+from .simulator import estimate_performance
+from .stats import ComparisonRow, compare_procedures
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -36,32 +33,24 @@ EXIT_PARSE = 3
 EXIT_RUNTIME = 4
 
 
+def _env_int(name: str):
+    text = os.environ.get(name)
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise ConfigError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
-    seed = args.seed
-    if seed is None and "QCDESIGN_SEED" in os.environ:
-        seed = int(os.environ["QCDESIGN_SEED"])
+    """Flags over environment defaults over the config file."""
+    seed = args.seed if args.seed is not None else _env_int("QCDESIGN_SEED")
     if seed is not None:
-        cfg.ga = ga_mod.GaParams(
-            population=cfg.ga.population,
-            p_crossover=cfg.ga.p_crossover,
-            mutation_schedule=cfg.ga.mutation_schedule,
-            generations=cfg.ga.generations,
-            crossover_kind=cfg.ga.crossover_kind,
-            seed=seed,
-            fresh_seeds_per_generation=cfg.ga.fresh_seeds_per_generation,
-        )
-    threads = args.threads
-    if threads is None and "QCDESIGN_THREADS" in os.environ:
-        threads = int(os.environ["QCDESIGN_THREADS"])
-    if threads is not None:
-        if threads < 1:
-            raise ConfigError("--threads must be >= 1")
-        cfg.threads = threads
-    if args.out is not None:
-        cfg.output = args.out
-    if args.format is not None:
-        cfg.output_format = args.format
-    return cfg
+        cfg = replace(cfg, ga=replace(cfg.ga, seed=seed))
+    threads = args.threads if args.threads is not None else _env_int("QCDESIGN_THREADS")
+    overrides = {"threads": threads, "output": args.out, "output_format": args.format}
+    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -76,18 +65,25 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def _fixed(places: int, *values) -> tuple:
+    return tuple(f"{value:.{places}f}" for value in values)
+
+
+def _csv(header, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def cmd_critical_errors(cfg: JobConfig) -> str:
     crit = critical_errors(cfg.assay)
     if cfg.output_format == "csv":
-        return "k_re,delta_se\n" f"{crit.k_re:.3f},{crit.delta_se:.3f}\n"
+        return _csv(("k_re", "delta_se"), [_fixed(3, crit.k_re, crit.delta_se)])
     return _json_doc(
         {
-            "assay": {
-                "sd": cfg.assay.sd,
-                "bias": cfg.assay.bias,
-                "tea": cfg.assay.tea,
-                "alpha": cfg.assay.alpha,
-            },
+            "assay": report_dict(cfg.assay),
             "critical_random_error": round(crit.k_re, 3),
             "critical_systematic_error": round(crit.delta_se, 3),
         }
@@ -102,53 +98,34 @@ def _gather_library(cfg: JobConfig):
 
 
 def cmd_list_library(cfg: JobConfig) -> str:
-    entries = _gather_library(cfg)
+    rows = [(e.name, e.source, e.note) for e in _gather_library(cfg)]
+    header = ("name", "source", "note")
     if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "source", "note"])
-        for e in entries:
-            writer.writerow([e.name, e.source, e.note])
-        return buf.getvalue()
-    return _json_doc(
-        {
-            "entries": [
-                {"name": e.name, "source": e.source, "note": e.note} for e in entries
-            ]
-        }
-    )
+        return _csv(header, rows)
+    return _json_doc({"entries": [dict(zip(header, row)) for row in rows]})
 
 
 def cmd_evaluate(cfg: JobConfig, procedure_text: str) -> str:
     procedure = parse_procedure(procedure_text)
     crit = critical_errors(cfg.assay)
-    plan = SimulationPlan(
-        measurements_per_level=cfg.plan.measurements_per_level,
-        levels=cfg.plan.levels,
-        per_level_per_run=cfg.plan.per_level_per_run,
-        stream=new_stream(cfg.ga.seed, 0),
-    )
+    plan = replace(cfg.plan, stream=new_stream(cfg.ga.seed, 0))
     est = estimate_performance(procedure, plan, crit)
     f = fitness_f(est, cfg.objective)
     f1 = comparison_f1(est)
     if cfg.output_format == "csv":
-        return (
-            "procedure,p_re,p_se,p_fr,f,f1\n"
-            f"{procedure_text},{est.p_re:.4f},{est.p_se:.4f},"
-            f"{est.p_fr:.4f},{f:.5f},{f1:.5f}\n"
+        return _csv(
+            ("procedure", "p_re", "p_se", "p_fr", "f", "f1"),
+            [(procedure_text, *_fixed(4, est.p_re, est.p_se, est.p_fr), *_fixed(5, f, f1))],
         )
     return _json_doc(
-        {
-            "procedure": procedure_text,
-            "seed": cfg.ga.seed,
-            "p_re": est.p_re,
-            "p_se": est.p_se,
-            "p_fr": est.p_fr,
-            "f": f,
-            "f1": f1,
-            "runs_simulated": est.runs_simulated,
-        }
+        dict(report_dict(est), procedure=procedure_text, seed=cfg.ga.seed, f=f, f1=f1)
     )
+
+
+# The mean and SD columns of a comparison row, in field order.
+_COMPARE_COLUMNS = tuple(
+    f.name for f in fields(ComparisonRow) if f.name.startswith(("mean_", "sd_"))
+)
 
 
 def cmd_compare(cfg: JobConfig, extra_procedures) -> str:
@@ -167,60 +144,21 @@ def cmd_compare(cfg: JobConfig, extra_procedures) -> str:
         threads=cfg.threads,
     )
     if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+        return _csv(
+            ("procedure", *_COMPARE_COLUMNS, "sign_p_vs_top"),
             [
-                "procedure",
-                "mean_p_re",
-                "sd_p_re",
-                "mean_p_se",
-                "sd_p_se",
-                "mean_p_fr",
-                "sd_p_fr",
-                "mean_f1",
-                "sd_f1",
-                "sign_p_vs_top",
-            ]
-        )
-        for row in result.rows:
-            writer.writerow(
-                [
+                (
                     row.name,
-                    f"{row.mean_p_re:.4f}",
-                    f"{row.sd_p_re:.4f}",
-                    f"{row.mean_p_se:.4f}",
-                    f"{row.sd_p_se:.4f}",
-                    f"{row.mean_p_fr:.4f}",
-                    f"{row.sd_p_fr:.4f}",
-                    f"{row.mean_f1:.4f}",
-                    f"{row.sd_f1:.4f}",
+                    *_fixed(4, *(getattr(row, column) for column in _COMPARE_COLUMNS)),
                     "" if row.sign_p_vs_top is None else f"{row.sign_p_vs_top:.6g}",
-                ]
-            )
-        return buf.getvalue()
-    return _json_doc(
-        {
-            "base_seed": result.base_seed,
-            "replicates": result.replicates,
-            "rows": [
-                {
-                    "procedure": row.name,
-                    "mean_p_re": row.mean_p_re,
-                    "sd_p_re": row.sd_p_re,
-                    "mean_p_se": row.mean_p_se,
-                    "sd_p_se": row.sd_p_se,
-                    "mean_p_fr": row.mean_p_fr,
-                    "sd_p_fr": row.sd_p_fr,
-                    "mean_f1": row.mean_f1,
-                    "sd_f1": row.sd_f1,
-                    "sign_p_vs_top": row.sign_p_vs_top,
-                    "ties_only_vs_top": row.ties_only_vs_top,
-                }
+                )
                 for row in result.rows
             ],
-        }
-    )
+        )
+    doc = report_dict(result)
+    for row in doc["rows"]:
+        del row["f1_values"]  # per-replicate detail behind the sign test
+    return _json_doc(doc)
 
 
 def cmd_design(cfg: JobConfig) -> str:
@@ -228,21 +166,14 @@ def cmd_design(cfg: JobConfig) -> str:
         cfg.layout, cfg.plan, cfg.assay, cfg.objective, cfg.ga
     )
     if cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["generation", "procedure", "f", "p_re", "p_se", "p_fr"])
-        for rec in report.generation_log:
-            writer.writerow(
-                [
-                    rec.generation,
-                    rec.notation,
-                    f"{rec.fitness:.5f}",
-                    f"{rec.p_re:.4f}",
-                    f"{rec.p_se:.4f}",
-                    f"{rec.p_fr:.4f}",
-                ]
-            )
-        return buf.getvalue()
+        return _csv(
+            ("generation", "procedure", "f", "p_re", "p_se", "p_fr"),
+            [
+                (rec.generation, rec.notation, *_fixed(5, rec.fitness))
+                + _fixed(4, rec.p_re, rec.p_se, rec.p_fr)
+                for rec in report.generation_log
+            ],
+        )
     return _json_doc(report.to_dict())
 
 
@@ -292,7 +223,7 @@ def main(argv=None) -> int:
     except ProcedureParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InfeasibleAssayError, QcDesignError, OSError) as exc:
+    except (QcDesignError, OSError) as exc:  # an infeasible assay among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK

@@ -1,25 +1,39 @@
 """Job configuration: JSON file with sections mirroring the run inputs.
 
 All defaults reproduce the sodium-assay application at full scale, so an
-empty config file is a complete, meaningful job. Unknown keys are
-rejected to catch typos early.
+empty config file is a complete, meaningful job. Each section is the
+params dataclass that the JobConfig field of that name holds: its fields
+are the section's keys and their annotations its value types. The top
+level takes the other JobConfig fields. Unknown keys are rejected to catch
+typos early. Values are never coerced: an integer is accepted for a
+float field and kept as given, but a float, string or boolean is not an
+integer, and JSON lists stand for tuples.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .error_model import AssayParams
-from .errors import ConfigError
+from .errors import ConfigError, InvalidArgumentError
 from .ga import GaParams
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
-from .simulator import SimulationPlan
+from .simulator import RUNTIME_FIELDS, SimulationPlan
 
 DEFAULT_SEED = 12345
+
+_JSON_TYPE_NAMES = {
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    str: "string",
+    type(None): "null",
+}
 
 
 @dataclass
@@ -29,11 +43,21 @@ class JobConfig:
     ga: GaParams
     plan: SimulationPlan
     layout: GenomeLayout
-    library_files: tuple = ()
+    library_files: tuple[str, ...] = ()
     output: Optional[str] = None
     output_format: str = "doc"  # "csv" or "doc"
     replicates: int = 21
     threads: int = 1
+
+    def __post_init__(self):
+        if self.output_format not in ("csv", "doc"):
+            raise ConfigError(
+                f"output_format must be 'csv' or 'doc', got {self.output_format!r}"
+            )
+        if self.replicates < 2:
+            raise ConfigError("replicates must be an integer >= 2")
+        if self.threads < 1:
+            raise ConfigError("threads must be an integer >= 1")
 
 
 def default_config() -> JobConfig:
@@ -46,16 +70,69 @@ def default_config() -> JobConfig:
     )
 
 
-def _section(data: dict, name: str, allowed: set) -> dict:
-    raw = data.get(name, {})
+def _conforms(value, hint) -> bool:
+    """Whether a decoded JSON value has the annotated type, uncoerced."""
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return any(_conforms(value, arg) for arg in args)
+    if get_origin(hint) is tuple:
+        if not isinstance(value, list):
+            return False
+        if args[-1] is Ellipsis:
+            return all(_conforms(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_conforms, value, args))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return isinstance(value, hint)
+
+
+def _describe(hint) -> str:
+    args = get_args(hint)
+    if get_origin(hint) is Union:
+        return " or ".join(map(_describe, args))
+    if get_origin(hint) is tuple:
+        if args[-1] is Ellipsis:
+            return f"list of {_describe(args[0])}"
+        return f"[{', '.join(map(_describe, args))}]"
+    return _JSON_TYPE_NAMES[hint]
+
+
+def _frozen(value):
+    return tuple(map(_frozen, value)) if isinstance(value, list) else value
+
+
+def _merged(current, raw, section: Optional[str]):
+    """``current`` with the fields that ``raw`` names replaced by its
+    type-checked values; a dataclass-valued field merges a nested section.
+    ``section`` is None for the config root."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"section {name!r} must be an object")
-    unknown = set(raw) - allowed
+        if section is None:
+            raise ConfigError("config root must be a JSON object")
+        raise ConfigError(f"section {section!r} must be an object")
+    unknown = set(raw) - ({f.name for f in fields(current)} - RUNTIME_FIELDS)
     if unknown:
-        raise ConfigError(
-            f"unknown key(s) in section {name!r}: {', '.join(sorted(unknown))}"
-        )
-    return raw
+        listed = ", ".join(sorted(unknown))
+        if section is None:
+            raise ConfigError(f"unknown config key(s): {listed}")
+        raise ConfigError(f"unknown key(s) in section {section!r}: {listed}")
+    hints = get_type_hints(type(current))
+    updates = {}
+    for key, value in raw.items():
+        if is_dataclass(getattr(current, key)):
+            updates[key] = _merged(getattr(current, key), value, key)
+        elif _conforms(value, hints[key]):
+            updates[key] = _frozen(value)
+        else:
+            name = key if section is None else f"{section}.{key}"
+            raise ConfigError(
+                f"{name}: expected {_describe(hints[key])}, got {json.dumps(value)}"
+            )
+    try:
+        return replace(current, **updates)
+    except InvalidArgumentError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: Optional[str] = None) -> JobConfig:
@@ -67,123 +144,6 @@ def load_config(path: Optional[str] = None) -> JobConfig:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError("config root must be a JSON object")
-
-    known_sections = {
-        "assay",
-        "objective",
-        "ga",
-        "plan",
-        "layout",
-        "library_files",
-        "output",
-        "output_format",
-        "replicates",
-        "threads",
-    }
-    unknown = set(data) - known_sections
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
-
-    try:
-        assay_raw = _section(data, "assay", {"sd", "bias", "tea", "alpha"})
-        cfg.assay = AssayParams(
-            sd=assay_raw.get("sd", cfg.assay.sd),
-            bias=assay_raw.get("bias", cfg.assay.bias),
-            tea=assay_raw.get("tea", cfg.assay.tea),
-            alpha=assay_raw.get("alpha", cfg.assay.alpha),
-        )
-        obj_raw = _section(
-            data, "objective", {"p_re_target", "p_se_target", "w_re", "w_se", "w_fr"}
-        )
-        cfg.objective = ObjectiveConfig(
-            p_re_target=obj_raw.get("p_re_target", cfg.objective.p_re_target),
-            p_se_target=obj_raw.get("p_se_target", cfg.objective.p_se_target),
-            w_re=obj_raw.get("w_re", cfg.objective.w_re),
-            w_se=obj_raw.get("w_se", cfg.objective.w_se),
-            w_fr=obj_raw.get("w_fr", cfg.objective.w_fr),
-        )
-        ga_raw = _section(
-            data,
-            "ga",
-            {
-                "population",
-                "p_crossover",
-                "mutation_schedule",
-                "generations",
-                "crossover_kind",
-                "seed",
-                "fresh_seeds_per_generation",
-            },
-        )
-        schedule = ga_raw.get(
-            "mutation_schedule", [list(e) for e in cfg.ga.mutation_schedule]
-        )
-        cfg.ga = GaParams(
-            population=ga_raw.get("population", cfg.ga.population),
-            p_crossover=ga_raw.get("p_crossover", cfg.ga.p_crossover),
-            mutation_schedule=tuple(tuple(e) for e in schedule),
-            generations=ga_raw.get("generations", cfg.ga.generations),
-            crossover_kind=ga_raw.get("crossover_kind", cfg.ga.crossover_kind),
-            seed=ga_raw.get("seed", cfg.ga.seed),
-            fresh_seeds_per_generation=ga_raw.get(
-                "fresh_seeds_per_generation", cfg.ga.fresh_seeds_per_generation
-            ),
-        )
-        plan_raw = _section(
-            data, "plan", {"measurements_per_level", "levels", "per_level_per_run"}
-        )
-        cfg.plan = SimulationPlan(
-            measurements_per_level=plan_raw.get(
-                "measurements_per_level", cfg.plan.measurements_per_level
-            ),
-            levels=plan_raw.get("levels", cfg.plan.levels),
-            per_level_per_run=plan_raw.get(
-                "per_level_per_run", cfg.plan.per_level_per_run
-            ),
-        )
-        layout_raw = _section(
-            data,
-            "layout",
-            {
-                "q",
-                "optimize_levels",
-                "optimize_per_level",
-                "fixed_levels",
-                "fixed_per_level",
-            },
-        )
-        cfg.layout = GenomeLayout(
-            q=layout_raw.get("q", cfg.layout.q),
-            optimize_levels=layout_raw.get("optimize_levels", cfg.layout.optimize_levels),
-            optimize_per_level=layout_raw.get(
-                "optimize_per_level", cfg.layout.optimize_per_level
-            ),
-            fixed_levels=layout_raw.get("fixed_levels", cfg.layout.fixed_levels),
-            fixed_per_level=layout_raw.get(
-                "fixed_per_level", cfg.layout.fixed_per_level
-            ),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-
-    files = data.get("library_files", [])
-    if not isinstance(files, list) or not all(isinstance(f, str) for f in files):
-        raise ConfigError("library_files must be a list of paths")
-    cfg.library_files = tuple(files)
-    cfg.output = data.get("output", cfg.output)
-    cfg.output_format = data.get("output_format", cfg.output_format)
-    if cfg.output_format not in ("csv", "doc"):
-        raise ConfigError(f"output_format must be 'csv' or 'doc', got {cfg.output_format!r}")
-    cfg.replicates = data.get("replicates", cfg.replicates)
-    cfg.threads = data.get("threads", cfg.threads)
-    if not isinstance(cfg.replicates, int) or cfg.replicates < 2:
-        raise ConfigError("replicates must be an integer >= 2")
-    if not isinstance(cfg.threads, int) or cfg.threads < 1:
-        raise ConfigError("threads must be an integer >= 1")
-    return cfg
+    return _merged(cfg, data, None)

@@ -70,6 +70,8 @@ def _bisect(f, lo: float, hi: float) -> float:
     # f must be negative at lo and positive at hi
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # adjacent floats: far from 0 they are wider than the tolerance
+            break
         if f(mid) > 0.0:
             hi = mid
         else:
@@ -87,7 +89,7 @@ def critical_systematic_error(p: AssayParams) -> float:
             f"in-control exceedance {at_zero:.6g} already exceeds alpha {p.alpha}"
         )
     hi = (p.tea - p.bias) / p.sd + 10.0
-    if _shift_exceedance(p, hi) < p.alpha:
+    if not math.isfinite(hi) or _shift_exceedance(p, hi) < p.alpha:
         raise InfeasibleAssayError("no critical systematic error in bracket")
     return _bisect(lambda d: _shift_exceedance(p, d) - p.alpha, 0.0, hi)
 

@@ -10,7 +10,7 @@ best-fitness trajectory monotone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .error_model import AssayParams, CriticalErrors, critical_errors
@@ -21,10 +21,12 @@ from .rng import RandomStream, new_stream
 from .rules import canonical_notation
 from .simulator import (
     IDS_PER_SIMULATION,
+    RUNTIME_FIELDS,
     PerformanceEstimate,
     SimulationPlan,
     draw_condition_pools,
     estimate_performance,
+    resolve_shape,
 )
 
 # Stream-id conventions within a design run (all relative to the master
@@ -36,12 +38,41 @@ _SIM_STREAM_ID = 0
 _OPS_STREAM_ID = 50
 _FRESH_SIM_BASE = 100
 
+# Report keys that differ from the field they come from.
+_REPORT_KEYS = {
+    "notation": "procedure",
+    "fitness": "f",
+    "genome_hex": "genome",
+    "name": "procedure",
+}
+
+
+def report_dict(obj) -> dict:
+    """A dataclass (nested ones included) as a report mapping."""
+    return asdict(
+        obj,
+        dict_factory=lambda items: {
+            _REPORT_KEYS.get(key, key): value
+            for key, value in items
+            if key not in RUNTIME_FIELDS
+        },
+    )
+
+
+def _is_schedule_entry(entry) -> bool:
+    """A (generation, rate) pair: an integer >= 0 and a number in [0, 1]."""
+    if not isinstance(entry, (tuple, list)) or len(entry) != 2:
+        return False
+    start, rate = entry
+    # type(), not isinstance(): to isinstance() a bool is an int
+    return type(start) is int and start >= 0 and type(rate) in (int, float) and 0 <= rate <= 1
+
 
 @dataclass(frozen=True)
 class GaParams:
     population: int = 600
     p_crossover: float = 1.0
-    mutation_schedule: tuple = ((0, 0.0), (50, 0.0005))
+    mutation_schedule: tuple[tuple[int, float], ...] = ((0, 0.0), (50, 0.0005))
     generations: int = 100
     crossover_kind: str = "single_point"
     seed: int = 12345
@@ -59,6 +90,11 @@ class GaParams:
         if self.crossover_kind not in ("single_point", "two_point"):
             raise InvalidArgumentError(
                 f"unknown crossover kind {self.crossover_kind!r}"
+            )
+        if not all(map(_is_schedule_entry, self.mutation_schedule)):
+            raise InvalidArgumentError(
+                "mutation_schedule entries must be [generation >= 0, rate in [0, 1]]"
+                f" pairs, got {self.mutation_schedule!r}"
             )
         gens = [g for g, _ in self.mutation_schedule]
         if gens != sorted(set(gens)):
@@ -242,7 +278,7 @@ class BestEntry:
 class DesignReport:
     seed: int
     layout: GenomeLayout
-    params: GaParams
+    ga: GaParams
     objective: ObjectiveConfig
     plan: SimulationPlan
     assay: AssayParams
@@ -251,72 +287,7 @@ class DesignReport:
     best: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "layout": {
-                "q": self.layout.q,
-                "optimize_levels": self.layout.optimize_levels,
-                "optimize_per_level": self.layout.optimize_per_level,
-                "fixed_levels": self.layout.fixed_levels,
-                "fixed_per_level": self.layout.fixed_per_level,
-            },
-            "ga": {
-                "population": self.params.population,
-                "p_crossover": self.params.p_crossover,
-                "mutation_schedule": [list(e) for e in self.params.mutation_schedule],
-                "generations": self.params.generations,
-                "crossover_kind": self.params.crossover_kind,
-                "seed": self.params.seed,
-                "fresh_seeds_per_generation": self.params.fresh_seeds_per_generation,
-            },
-            "objective": {
-                "p_re_target": self.objective.p_re_target,
-                "p_se_target": self.objective.p_se_target,
-                "w_re": self.objective.w_re,
-                "w_se": self.objective.w_se,
-                "w_fr": self.objective.w_fr,
-            },
-            "plan": {
-                "measurements_per_level": self.plan.measurements_per_level,
-                "levels": self.plan.levels,
-                "per_level_per_run": self.plan.per_level_per_run,
-            },
-            "assay": {
-                "sd": self.assay.sd,
-                "bias": self.assay.bias,
-                "tea": self.assay.tea,
-                "alpha": self.assay.alpha,
-            },
-            "critical": {
-                "delta_se": self.critical.delta_se,
-                "k_re": self.critical.k_re,
-            },
-            "generation_log": [
-                {
-                    "generation": r.generation,
-                    "procedure": r.notation,
-                    "f": r.fitness,
-                    "p_re": r.p_re,
-                    "p_se": r.p_se,
-                    "p_fr": r.p_fr,
-                }
-                for r in self.generation_log
-            ],
-            "best": [
-                {
-                    "procedure": e.notation,
-                    "genome": e.genome_hex,
-                    "f": e.fitness,
-                    "f1": e.f1,
-                    "p_re": e.p_re,
-                    "p_se": e.p_se,
-                    "p_fr": e.p_fr,
-                    "levels": e.levels,
-                    "per_level": e.per_level,
-                }
-                for e in self.best
-            ],
-        }
+        return report_dict(self)
 
 
 def _random_genome(layout: GenomeLayout, rng: RandomStream) -> Genome:
@@ -395,7 +366,7 @@ def run_design(
     )[:max_best]
     best_entries = []
     for notation, ind in ranked:
-        procedure = decode(ind.genome)
+        levels, per_level, _ = resolve_shape(decode(ind.genome), plan)
         est = ind.estimate
         best_entries.append(
             BestEntry(
@@ -406,19 +377,15 @@ def run_design(
                 p_re=est.p_re,
                 p_se=est.p_se,
                 p_fr=est.p_fr,
-                levels=procedure.levels if procedure.levels is not None else plan.levels,
-                per_level=(
-                    procedure.per_level
-                    if procedure.per_level is not None
-                    else plan.per_level_per_run
-                ),
+                levels=levels,
+                per_level=per_level,
             )
         )
 
     return DesignReport(
         seed=params.seed,
         layout=layout,
-        params=params,
+        ga=params,
         objective=cfg,
         plan=plan,
         assay=assay,

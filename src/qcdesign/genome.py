@@ -60,11 +60,8 @@ class Genome:
             )
 
     def to_hex(self) -> str:
-        value = 0
-        for bit in self.bits:
-            value = value << 1 | bit
         width = (len(self.bits) + 3) // 4
-        return f"0x{value:0{width}x}"
+        return f"0x{_bits_to_int(self.bits):0{width}x}"
 
 
 def genome_length(layout: GenomeLayout) -> int:

@@ -78,6 +78,12 @@ def _parse_westgard(stripped: str, original: str) -> Procedure:
 
 
 def _make_rule(kind, n, limit, term, position) -> Rule:
+    # Limits are tenths of an SD: the genome encodes nothing finer, and
+    # notation renders one decimal.
+    if abs(limit * 10 - round(limit * 10)) > 1e-9:
+        raise ProcedureParseError(
+            f"term {term!r}: decision limits take at most one decimal", position
+        )
     try:
         return Rule(kind, n, limit)
     except ValueError as exc:
@@ -173,21 +179,24 @@ def tree_to_procedure(
     tree, levels: Optional[int] = None, per_level: Optional[int] = None
 ) -> Procedure:
     """Flatten a tree into a rule/operator sequence whose priorities
-    reproduce the grouping under precedence climbing (deeper operators
-    bind tighter)."""
+    reproduce the grouping under precedence climbing.
+
+    An operator's priority counts the right branches on its path from the
+    root: a left-associated chain shares one priority, and only an
+    operand grouped on the right binds tighter."""
     rules, operators = [], []
 
-    def walk(node, depth):
+    def walk(node, priority):
         if isinstance(node, Leaf):
             rules.append(node.rule)
             return
-        if depth > 3:
+        if priority > 3:
             raise ProcedureParseError(
                 "nesting too deep: operator priorities only span 0..3"
             )
-        walk(node.left, depth + 1)
-        operators.append(Operator(node.op, depth))
-        walk(node.right, depth + 1)
+        walk(node.left, priority)
+        operators.append(Operator(node.op, priority))
+        walk(node.right, priority + 1)
 
     if tree is not None:
         walk(tree, 0)

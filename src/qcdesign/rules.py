@@ -184,11 +184,6 @@ def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
     return evaluate_expr(expr.left, window) or evaluate_expr(expr.right, window)
 
 
-def evaluate_procedure(expr: ExprTree, history: Sequence[float]) -> bool:
-    """Boolean verdict of the procedure on the pooled history (newest last)."""
-    return evaluate_expr(expr, history)
-
-
 def flatten(expr: ExprTree):
     """In-order (rules, operator kinds) of a tree; inverse of grouping."""
     rules, kinds = [], []
@@ -249,34 +244,27 @@ def count_distinct_propositions(max_rules: int) -> int:
     return len(seen)
 
 
+# One placeholder rule per rule class; truth-table atom i is the rule of
+# the i-th class.
+_ATOM_RULES = tuple(Rule(kind, N_MAX, 0.0) for kind in RuleKind)
+_ATOM_BIT = {kind: i for i, kind in enumerate(RuleKind)}
+
+
 def _truth_table(atoms, op_choice) -> int:
     """16-row truth table (bitmask) of an atom/operator sequence."""
-    ops = [Operator(kind, prio) for kind, prio in op_choice]
-    pos = [0]
-
-    def parse(min_priority):
-        left = ("leaf", atoms[pos[0]])
-        pos[0] += 1
-        while pos[0] - 1 < len(ops):
-            op = ops[pos[0] - 1]
-            if op.priority < min_priority:
-                break
-            right = parse(op.priority + 1)
-            left = ("node", op.kind, left, right)
-        return left
-
-    tree = parse(0)
-    mask = 0
-    for row in range(16):
-        if _eval_atom_tree(tree, row):
-            mask |= 1 << row
-    return mask
+    tree = build_expr(
+        Procedure(
+            tuple(_ATOM_RULES[a] for a in atoms),
+            tuple(Operator(kind, prio) for kind, prio in op_choice),
+        )
+    )
+    return sum(1 << row for row in range(16) if _holds(tree, row))
 
 
-def _eval_atom_tree(tree, row) -> bool:
-    if tree[0] == "leaf":
-        return bool((row >> tree[1]) & 1)
-    _, kind, left, right = tree
-    if kind is OperatorKind.AND:
-        return _eval_atom_tree(left, row) and _eval_atom_tree(right, row)
-    return _eval_atom_tree(left, row) or _eval_atom_tree(right, row)
+def _holds(tree: ExprTree, row: int) -> bool:
+    """Value of a placeholder-rule tree when atom i has the value of bit i of row."""
+    if isinstance(tree, Leaf):
+        return bool((row >> _ATOM_BIT[tree.rule.kind]) & 1)
+    if tree.op is OperatorKind.AND:
+        return _holds(tree.left, row) and _holds(tree.right, row)
+    return _holds(tree.left, row) or _holds(tree.right, row)

@@ -14,7 +14,7 @@ values before the error is reintroduced in the next run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .error_model import CriticalErrors
@@ -66,7 +66,7 @@ class SimulationPlan:
     measurements_per_level: int = 1000
     levels: int = 2
     per_level_per_run: int = 1
-    stream: Optional[RandomStream] = None
+    stream: Optional[RandomStream] = None  # runtime state: see RUNTIME_FIELDS
 
     def __post_init__(self):
         if self.measurements_per_level < 1:
@@ -77,6 +77,10 @@ class SimulationPlan:
             raise InvalidArgumentError(
                 f"per_level_per_run must be in [1, 4], got {self.per_level_per_run}"
             )
+
+
+# Plan fields each command seeds at run time: no config key, no report entry.
+RUNTIME_FIELDS = frozenset({"stream"})
 
 
 @dataclass(frozen=True)
@@ -169,7 +173,8 @@ class CompiledProcedure:
         return lambda windows: left(windows) or right(windows)
 
 
-def _resolve_shape(procedure: Procedure, plan: SimulationPlan):
+def resolve_shape(procedure: Procedure, plan: SimulationPlan):
+    """(levels, per_level, runs): the procedure's own QC shape, else the plan's."""
     levels = procedure.levels if procedure.levels is not None else plan.levels
     per_level = (
         procedure.per_level if procedure.per_level is not None else plan.per_level_per_run
@@ -192,7 +197,7 @@ def simulate_condition(
     from its substream ``_RESTORE_GAP`` ids ahead.
     """
     compiled = CompiledProcedure(procedure)
-    levels, per_level, runs = _resolve_shape(procedure, plan)
+    levels, per_level, runs = resolve_shape(procedure, plan)
     if runs < 1:
         raise InvalidArgumentError(
             f"per-level budget {plan.measurements_per_level} yields zero runs "
@@ -262,20 +267,14 @@ def estimate_performance(
     ``systematic``) to :class:`DeviatePool` instances; when absent,
     equivalent pools are built from substreams of the plan stream.
     """
-    _, _, runs = _resolve_shape(procedure, plan)
+    _, _, runs = resolve_shape(procedure, plan)
 
     def run(name: str, condition: ErrorCondition) -> float:
         if pools is not None:
             return simulate_condition(procedure, plan, condition, pool=pools[name])
         if plan.stream is None:
             raise InvalidArgumentError("plan has no stream and no deviate pools")
-        sub = plan.stream.substream(_COND_OFFSETS[name])
-        sub_plan = SimulationPlan(
-            measurements_per_level=plan.measurements_per_level,
-            levels=plan.levels,
-            per_level_per_run=plan.per_level_per_run,
-            stream=sub,
-        )
+        sub_plan = replace(plan, stream=plan.stream.substream(_COND_OFFSETS[name]))
         return simulate_condition(procedure, sub_plan, condition)
 
     p_fr = run("in_control", in_control())

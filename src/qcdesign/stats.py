@@ -10,8 +10,9 @@ the per-replicate values.
 from __future__ import annotations
 
 import math
+import os
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .error_model import CriticalErrors
@@ -118,10 +119,12 @@ def compare_procedures(
         (list(procedures), plan_template, critical, base_seed, r)
         for r in range(replicates)
     ]
-    if threads > 1:
+    # More workers than replicates or cores would only add start-up cost.
+    workers = min(threads, replicates, os.cpu_count() or 1)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(threads) as pool:
+        with multiprocessing.Pool(workers) as pool:
             per_replicate = pool.map(_replicate_estimates, tasks)
     else:
         per_replicate = [_replicate_estimates(t) for t in tasks]
@@ -130,25 +133,11 @@ def compare_procedures(
     for index, (name, _) in enumerate(procedures):
         estimates = [per_replicate[r][index] for r in range(replicates)]
         f1s = tuple(comparison_f1(e) for e in estimates)
-        mean_re, sd_re = summarize([e.p_re for e in estimates])
-        mean_se, sd_se = summarize([e.p_se for e in estimates])
-        mean_fr, sd_fr = summarize([e.p_fr for e in estimates])
-        mean_f1, sd_f1 = summarize(list(f1s))
-        rows.append(
-            ComparisonRow(
-                name=name,
-                mean_p_re=mean_re,
-                sd_p_re=sd_re,
-                mean_p_se=mean_se,
-                sd_p_se=sd_se,
-                mean_p_fr=mean_fr,
-                sd_p_fr=sd_fr,
-                mean_f1=mean_f1,
-                sd_f1=sd_f1,
-                f1_values=f1s,
-                sign_p_vs_top=None,
-            )
-        )
+        columns = {}
+        for key in ("p_re", "p_se", "p_fr", "f1"):
+            values = f1s if key == "f1" else [getattr(e, key) for e in estimates]
+            columns[f"mean_{key}"], columns[f"sd_{key}"] = summarize(values)
+        rows.append(ComparisonRow(name=name, f1_values=f1s, sign_p_vs_top=None, **columns))
 
     rows.sort(key=lambda row: row.mean_f1)
     top = rows[0]
@@ -156,13 +145,7 @@ def compare_procedures(
     for row in rows[1:]:
         test = sign_test(top.f1_values, row.f1_values)
         final.append(
-            ComparisonRow(
-                **{
-                    **row.__dict__,
-                    "sign_p_vs_top": test.p_value,
-                    "ties_only_vs_top": test.ties_only,
-                }
-            )
+            replace(row, sign_p_vs_top=test.p_value, ties_only_vs_top=test.ties_only)
         )
     return ComparisonResult(
         rows=tuple(final), replicates=replicates, base_seed=base_seed

@@ -1,5 +1,7 @@
 """Command-line interface tests (in-process, via main())."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -179,3 +181,18 @@ def test_repeat_runs_byte_identical(capsys, tmp_path):
     _, first, _ = _run(capsys, "--config", cfg, "compare")
     _, second, _ = _run(capsys, "--config", cfg, "compare")
     assert first == second
+
+
+def test_evaluate_csv_quotes_canonical_notation(capsys):
+    text = "S(1,2.7) OR M(2,1.9)"
+    code, out, _ = _run(capsys, "--format", "csv", "evaluate", text)
+    assert code == EXIT_OK
+    header, row = csv.reader(io.StringIO(out))
+    assert len(row) == len(header) == 6
+    assert row[0] == text
+
+
+def test_limit_with_two_decimals_is_a_parse_error(capsys):
+    code, _, err = _run(capsys, "evaluate", "S(1,2.45)")
+    assert code == EXIT_PARSE
+    assert "one decimal" in err

@@ -1,11 +1,19 @@
 """Job-configuration loading tests."""
 
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qcdesign.config import default_config, load_config
+from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
+from qcdesign.config import JobConfig, default_config, load_config
 from qcdesign.errors import ConfigError
+from qcdesign.simulator import RUNTIME_FIELDS
 
 
 def _write(tmp_path, payload):
@@ -90,3 +98,104 @@ def test_invalid_values_surface_as_config_errors(tmp_path):
 def test_mutation_schedule_roundtrip(tmp_path):
     path = _write(tmp_path, {"ga": {"mutation_schedule": [[0, 0.0], [10, 0.001]]}})
     assert load_config(path).ga.mutation_schedule == ((0, 0.0), (10, 0.001))
+
+
+def test_values_keep_their_json_type(tmp_path):
+    path = _write(
+        tmp_path,
+        {"assay": {"sd": 1}, "ga": {"p_crossover": 1}, "objective": {"w_re": 2}},
+    )
+    cfg = load_config(path)
+    assert type(cfg.assay.sd) is int and cfg.assay.sd == 1
+    assert type(cfg.ga.p_crossover) is int
+    assert type(cfg.objective.w_re) is int
+    assert type(cfg.library_files) is tuple
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"ga": {"population": 10.0}},
+        {"ga": {"population": "10"}},
+        {"ga": {"fresh_seeds_per_generation": 1}},
+        {"ga": {"mutation_schedule": [[0, "x"]]}},
+        {"ga": {"mutation_schedule": [[0, 5.0]]}},
+        {"ga": {"mutation_schedule": [[0.5, 0.1]]}},
+        {"ga": {"mutation_schedule": [[-1, 0.1]]}},
+        {"ga": {"mutation_schedule": [[0, 0.1, 2]]}},
+        {"plan": {"levels": True}},
+        {"plan": {"stream": None}},
+        {"layout": {"optimize_levels": "yes"}},
+        {"assay": {"sd": "0.67"}},
+        {"assay": {"sd": float("nan")}},
+        {"threads": True},
+        {"replicates": 3.0},
+        {"output": 5},
+        {"output_format": None},
+        {"library_files": [1]},
+    ],
+)
+def test_wrong_types_exit_with_config_error(tmp_path, capsys, payload):
+    code = main(["--config", _write(tmp_path, payload), "critical-errors"])
+    assert code == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "name, value", [("QCDESIGN_SEED", "abc"), ("QCDESIGN_THREADS", "1.5")]
+)
+def test_bad_env_overrides_exit_with_config_error(monkeypatch, capsys, name, value):
+    monkeypatch.setenv(name, value)
+    assert main(["critical-errors"]) == EXIT_CONFIG
+    assert name in capsys.readouterr().err
+
+
+def _section_keys():
+    """Section name -> its config keys, read from the params dataclasses."""
+    cfg = default_config()
+    return {
+        f.name: [
+            g.name for g in fields(getattr(cfg, f.name)) if g.name not in RUNTIME_FIELDS
+        ]
+        for f in fields(cfg)
+        if is_dataclass(getattr(cfg, f.name))
+    }
+
+
+_SECTIONS = _section_keys()
+# ``output`` would write files wherever the fuzzer points; its named case
+# above covers its type check.
+_TOP_LEVEL = [f.name for f in fields(JobConfig) if f.name not in {*_SECTIONS, "output"}]
+_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _configs(draw):
+    config = {}
+    for name in draw(st.lists(st.sampled_from([*_SECTIONS, *_TOP_LEVEL, "bogus"]))):
+        if name in _SECTIONS and draw(st.booleans()):
+            keys = st.sampled_from([*_SECTIONS[name], "bogus"])
+            config[name] = draw(st.dictionaries(keys, _JSON, max_size=4))
+        else:
+            config[name] = draw(_JSON)
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(_configs())
+def test_any_json_config_exits_cleanly(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "job.json"
+        path.write_text(json.dumps(config))
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            code = main(["--config", str(path), "critical-errors"])
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_RUNTIME)

@@ -36,6 +36,14 @@ def test_infeasible_assay():
         critical_random_error(params)
 
 
+def test_bisection_ends_where_floats_are_sparse():
+    # the root sits near 4e12 SD, where adjacent floats lie 5e-4 apart
+    params = AssayParams(sd=1e-12, bias=0.0, tea=4.0, alpha=0.01)
+    assert critical_systematic_error(params) == pytest.approx(4e12, rel=1e-6)
+    with pytest.raises(InfeasibleAssayError):
+        critical_systematic_error(AssayParams(sd=1e-320, bias=0.0, tea=4.0, alpha=0.01))
+
+
 def test_assay_validation():
     with pytest.raises(InvalidArgumentError):
         AssayParams(sd=0.0, bias=0.0, tea=4.0, alpha=0.01)

@@ -40,6 +40,15 @@ def test_params_validation():
         GaParams(mutation_schedule=((10, 0.1), (5, 0.2)))
 
 
+@pytest.mark.parametrize(
+    "schedule",
+    [((0, "x"),), ((0, 5.0),), ((-1, 0.1),), ((0.5, 0.1),), ((True, 0.1),), ((0,),)],
+)
+def test_mutation_schedule_entries_validated(schedule):
+    with pytest.raises(InvalidArgumentError, match="mutation_schedule"):
+        GaParams(mutation_schedule=schedule)
+
+
 def test_mutation_schedule_steps():
     params = GaParams(mutation_schedule=((0, 0.0), (50, 0.0005)))
     assert params.mutation_rate(0) == 0.0

@@ -1,0 +1,98 @@
+"""Golden-output check: every command's report bytes on small configs.
+
+The fixtures under ``tests/golden/`` were written by the program before
+any refactor of config loading and report serialization. A change that
+alters a report on purpose re-freezes them with
+
+    PYTHONPATH=src python tests/test_golden.py --freeze
+
+and says why in CHANGES.md.
+"""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from qcdesign.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+_DESIGN = {
+    "ga": {"population": 10, "generations": 4, "mutation_schedule": [[0, 0.0], [2, 0.05]]}
+}
+_COMPARE = {"replicates": 3, "plan": {"measurements_per_level": 300}}
+_EVALUATE = {"plan": {"measurements_per_level": 500}}
+_LIBRARY = {"library_files": [str(GOLDEN / "extra_library.txt")]}
+# Integer values for float fields are reported as given, never coerced.
+_NO_COERCION = {
+    "assay": {"sd": 1},
+    "ga": {
+        "p_crossover": 1,
+        "fresh_seeds_per_generation": True,
+        "population": 10,
+        "generations": 3,
+    },
+    "objective": {"w_re": 2},
+    "layout": {"q": 4, "optimize_per_level": True},
+    "plan": {"measurements_per_level": 300},
+}
+_COMPARE_EXTRA = ["S(1,2.7) OR M(2,1.9)", "M(2,1.9) OR (D(3,0.1) AND R(2,3.8))"]
+
+# (fixture stem, config, argv tail); each case runs in both formats,
+# except where the stem names its format.
+CASES = (
+    ("design", _DESIGN, ["design"]),
+    ("compare", _COMPARE, ["--threads", "2", "compare", *_COMPARE_EXTRA]),
+    ("evaluate_westgard", _EVALUATE, ["evaluate", "1_2.5s/2_2.0s/R_4s/4_1s"]),
+    ("evaluate_canonical.doc", _EVALUATE, ["evaluate", _COMPARE_EXTRA[1]]),
+    ("critical_errors", {}, ["critical-errors"]),
+    ("list_library", _LIBRARY, ["list-library"]),
+    ("no_coercion_design", _NO_COERCION, ["design"]),
+    ("no_coercion_critical_errors", _NO_COERCION, ["critical-errors"]),
+)
+
+
+def _expand():
+    for stem, config, argv in CASES:
+        if stem.endswith((".doc", ".csv")):
+            stem, fmt = stem.rsplit(".", 1)
+            yield stem, fmt, config, argv
+        else:
+            for fmt in ("doc", "csv"):
+                yield stem, fmt, config, argv
+
+
+PARAMS = [
+    pytest.param(config, fmt, argv, f"{stem}.{'json' if fmt == 'doc' else 'csv'}", id=f"{stem}.{fmt}")
+    for stem, fmt, config, argv in _expand()
+]
+
+
+def _report(workdir: Path, config: dict, fmt: str, argv: list) -> bytes:
+    config_path = workdir / "job.json"
+    out_path = workdir / "report.out"
+    config_path.write_text(json.dumps(config))
+    code = main(["--config", str(config_path), "--format", fmt, "--out", str(out_path), *argv])
+    assert code == EXIT_OK
+    return out_path.read_bytes()
+
+
+@pytest.mark.parametrize("config, fmt, argv, fixture", PARAMS)
+def test_report_matches_fixture(tmp_path, config, fmt, argv, fixture):
+    assert _report(tmp_path, config, fmt, argv) == (GOLDEN / fixture).read_bytes()
+
+
+def _freeze() -> None:
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for param in PARAMS:
+            config, fmt, argv, fixture = param.values
+            (GOLDEN / fixture).write_bytes(_report(Path(tmp), config, fmt, argv))
+            print(f"froze {fixture}")
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:
+    _freeze()

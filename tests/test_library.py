@@ -1,8 +1,10 @@
 """Notation parsing and the built-in reference library."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import ProcedureParseError
+from qcdesign.genome import Genome, GenomeLayout, decode, genome_length
 from qcdesign.library import (
     builtin_library,
     load_library_file,
@@ -17,6 +19,7 @@ from qcdesign.rules import (
     Procedure,
     Rule,
     RuleKind,
+    build_expr,
     canonical_notation,
 )
 
@@ -129,3 +132,65 @@ def test_load_library_file_errors(tmp_path):
 def test_westgard_and_canonical_agree():
     assert parse_procedure("1_2.5s") == parse_procedure("S(1,2.5)")
     assert parse_procedure("R_4s") == parse_procedure("R(2,4.0)")
+
+
+def _truth_table(procedure):
+    """Verdict for every assignment of truth values to the distinct rules."""
+    atoms = {rule: i for i, rule in enumerate(dict.fromkeys(procedure.rules))}
+    tree = build_expr(procedure)
+
+    def holds(node, row):
+        if node is None:
+            return False
+        if isinstance(node, Leaf):
+            return bool(row >> atoms[node.rule] & 1)
+        if node.op is OperatorKind.AND:
+            return holds(node.left, row) and holds(node.right, row)
+        return holds(node.left, row) or holds(node.right, row)
+
+    return [holds(tree, row) for row in range(2 ** len(atoms))]
+
+
+@st.composite
+def _decoded_procedures(draw):
+    layout = GenomeLayout(
+        q=draw(st.integers(1, 8)),
+        optimize_levels=draw(st.booleans()),
+        optimize_per_level=draw(st.booleans()),
+    )
+    length = genome_length(layout)
+    bits = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
+    return decode(Genome(tuple(bits), layout))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_decoded_procedures())
+def test_canonical_notation_round_trips(procedure):
+    text = canonical_notation(procedure)
+    parsed = parse_procedure(text)
+    assert parsed.rules == procedure.rules
+    assert _truth_table(parsed) == _truth_table(procedure)
+    assert canonical_notation(parsed) == text
+
+
+def test_long_same_operator_chain_round_trips():
+    procedure = parse_procedure("1_2.0s/1_2.1s/1_2.2s/1_2.3s/1_2.4s/1_2.5s")
+    text = canonical_notation(procedure)
+    assert canonical_notation(parse_procedure(text)) == text
+
+
+def test_right_grouping_is_kept_exactly():
+    text = "S(1,2.0) OR ((S(1,2.1) AND S(1,2.2)) OR S(1,2.3))"
+    a, b, c, d = (Leaf(Rule(S, 1, limit)) for limit in (2.0, 2.1, 2.2, 2.3))
+    OR, AND = OperatorKind.OR, OperatorKind.AND
+    assert build_expr(parse_procedure(text)) == Node(OR, a, Node(OR, Node(AND, b, c), d))
+
+
+@pytest.mark.parametrize("text", ["S(1,2.45)", "1_2.45s", "M(2,1.95) OR S(1,3.0)"])
+def test_limits_finer_than_a_tenth_rejected(text):
+    with pytest.raises(ProcedureParseError, match="at most one decimal"):
+        parse_procedure(text)
+
+
+def test_trailing_zero_limit_accepted():
+    assert parse_procedure("S(1,2.50)") == parse_procedure("S(1,2.5)")

@@ -16,7 +16,6 @@ from qcdesign.rules import (
     canonical_notation,
     count_distinct_propositions,
     evaluate_expr,
-    evaluate_procedure,
     evaluate_rule,
     flatten,
     min_n,
@@ -90,7 +89,7 @@ def test_two_rules_single_node():
 def test_empty_procedure_never_rejects():
     expr = build_expr(Procedure())
     assert expr is None
-    assert not evaluate_procedure(expr, [9.0, 9.0, 9.0])
+    assert not evaluate_expr(expr, [9.0, 9.0, 9.0])
 
 
 def test_priority_binds_tighter():
@@ -118,12 +117,12 @@ def test_hand_evaluated_combination():
         [Rule(S, 1, 2.2), Rule(M, 2, 1.9), Rule(R, 4, 4.3)],
         [Operator(AND, 1), Operator(OR, 0)],
     )
-    assert not evaluate_procedure(build_expr(proc), [0.0, 0.0, 0.0, 2.3])
+    assert not evaluate_expr(build_expr(proc), [0.0, 0.0, 0.0, 2.3])
 
 
 def test_or_fires_on_one_branch():
     proc = _proc([Rule(S, 1, 2.7), Rule(M, 2, 1.9)], [Operator(OR, 0)])
-    assert evaluate_procedure(build_expr(proc), [0.1, 2.8])
+    assert evaluate_expr(build_expr(proc), [0.1, 2.8])
 
 
 # ------------------------------------------------------------- notation

@@ -135,3 +135,35 @@ def test_compare_validation(sodium_critical):
         compare_procedures(
             [("a", "not a procedure")], _small_plan(), sodium_critical, replicates=3
         )
+
+
+@pytest.mark.parametrize(
+    "threads, replicates, cpus, expected",
+    [(2, 21, 2, 2), (8, 21, 2, 2), (8, 3, 16, 3), (4, 21, 1, None)],
+)
+def test_pool_capped_by_replicates_and_cores(
+    monkeypatch, sodium_critical, threads, replicates, cpus, expected
+):
+    import multiprocessing
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(t) for t in tasks]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    named = [(t, parse_procedure(t)) for t in ("1_2.5s", "1_3.0s")]
+    plan = SimulationPlan(measurements_per_level=50)
+    compare_procedures(named, plan, sodium_critical, replicates=replicates, threads=threads)
+    assert sizes == ([] if expected is None else [expected])
