@@ -19,7 +19,7 @@ from dataclasses import fields, replace
 from . import ga as ga_mod
 from .config import JobConfig, load_config
 from .error_model import critical_errors
-from .errors import ConfigError, ProcedureParseError, QcDesignError
+from .errors import ConfigError, InvalidArgumentError, ProcedureParseError, QcDesignError
 from .ga import report_dict
 from .library import builtin_library, load_library_file, parse_procedure
 from .objective import comparison_f1, fitness_f
@@ -47,7 +47,10 @@ def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
     """Flags over environment defaults over the config file."""
     seed = args.seed if args.seed is not None else _env_int("QCDESIGN_SEED")
     if seed is not None:
-        cfg = replace(cfg, ga=replace(cfg.ga, seed=seed))
+        try:
+            cfg = replace(cfg, ga=replace(cfg.ga, seed=seed))
+        except InvalidArgumentError as exc:
+            raise ConfigError(str(exc)) from exc
     threads = args.threads if args.threads is not None else _env_int("QCDESIGN_THREADS")
     overrides = {"threads": threads, "output": args.out, "output_format": args.format}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})

@@ -17,7 +17,7 @@ from .error_model import AssayParams, CriticalErrors, critical_errors
 from .errors import InvalidArgumentError
 from .genome import Genome, GenomeLayout, decode, genome_length, hamming_distance
 from .objective import ObjectiveConfig, comparison_f1, fitness_f
-from .rng import RandomStream, new_stream
+from .rng import DEFAULT_MODULUS, RandomStream, new_stream
 from .rules import canonical_notation
 from .simulator import (
     IDS_PER_SIMULATION,
@@ -100,6 +100,10 @@ class GaParams:
         if gens != sorted(set(gens)):
             raise InvalidArgumentError(
                 "mutation_schedule generations must be strictly increasing"
+            )
+        if not 1 <= self.seed <= DEFAULT_MODULUS - 1:
+            raise InvalidArgumentError(
+                f"seed must be in [1, {DEFAULT_MODULUS - 1}], got {self.seed}"
             )
 
     def mutation_rate(self, generation: int) -> float:

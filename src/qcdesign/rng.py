@@ -60,42 +60,33 @@ class RandomStream:
     they are disjoint as long as no stream draws more than that.
     """
 
-    __slots__ = ("seed", "stream_id", "multiplier", "modulus", "state")
+    __slots__ = ("seed", "stream_id", "state")
 
-    def __init__(
-        self,
-        seed: int,
-        stream_id: int = 0,
-        multiplier: int = DEFAULT_MULTIPLIER,
-        modulus: int = DEFAULT_MODULUS,
-    ):
-        if not 1 <= seed <= modulus - 1:
+    def __init__(self, seed: int, stream_id: int = 0):
+        if not 1 <= seed <= DEFAULT_MODULUS - 1:
             raise InvalidArgumentError(
-                f"seed must be in [1, {modulus - 1}], got {seed}"
+                f"seed must be in [1, {DEFAULT_MODULUS - 1}], got {seed}"
             )
         if stream_id < 0:
             raise InvalidArgumentError(f"stream_id must be >= 0, got {stream_id}")
         self.seed = seed
         self.stream_id = stream_id
-        self.multiplier = multiplier
-        self.modulus = modulus
         # Jump-ahead: state after k*STREAM_JUMP steps is A^(k*J) * seed mod m.
-        self.state = pow(multiplier, stream_id * STREAM_JUMP, modulus) * seed % modulus
+        jump = pow(DEFAULT_MULTIPLIER, stream_id * STREAM_JUMP, DEFAULT_MODULUS)
+        self.state = jump * seed % DEFAULT_MODULUS
 
     def next_uniform(self) -> float:
         """Next uniform deviate, strictly inside (0, 1)."""
-        self.state = self.multiplier * self.state % self.modulus
-        return self.state / self.modulus
+        self.state = DEFAULT_MULTIPLIER * self.state % DEFAULT_MODULUS
+        return self.state / DEFAULT_MODULUS
 
     def next_normal(self) -> float:
         """Next standard normal deviate; consumes exactly one uniform."""
         return inverse_normal_cdf(self.next_uniform())
 
     def substream(self, offset: int) -> "RandomStream":
-        """Fresh stream ``offset`` ids past this one (same seed and constants)."""
-        return RandomStream(
-            self.seed, self.stream_id + offset, self.multiplier, self.modulus
-        )
+        """Fresh stream ``offset`` ids past this one (same seed)."""
+        return RandomStream(self.seed, self.stream_id + offset)
 
     def __repr__(self):
         return (
@@ -104,6 +95,6 @@ class RandomStream:
         )
 
 
-def new_stream(seed: int, stream_id: int = 0, **kwargs) -> RandomStream:
+def new_stream(seed: int, stream_id: int = 0) -> RandomStream:
     """Create a stream whose state is a pure function of (seed, stream_id)."""
-    return RandomStream(seed, stream_id, **kwargs)
+    return RandomStream(seed, stream_id)

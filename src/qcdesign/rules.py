@@ -16,11 +16,10 @@ associate left to right.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from itertools import product
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidArgumentError
 
@@ -124,28 +123,52 @@ class Node:
 ExprTree = Union[Leaf, Node, None]
 
 
-def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
-    """Apply one rule to the last ``rule.n`` values (newest last).
+def window_predicate(rule: Rule) -> Callable[[Sequence[float]], bool]:
+    """The one definition of a rule: a closure over a window (newest last).
 
-    Returns False while fewer than ``n`` values exist: the first runs of a
-    simulation must proceed before the history fills.
+    It reads only ``w[-n:]``, is False while fewer than ``n`` values exist,
+    and decides M on |sum| > n*x and D on the sample variance > x**2.
     """
-    n = rule.n
-    if len(window) < n:
-        return False
-    tail = window[-n:]
-    limit = rule.limit
+    n, limit = rule.n, rule.limit
     kind = rule.kind
     if kind is RuleKind.SINGLE_VALUE:
-        return all(abs(v) > limit for v in tail)
+        if n == 1:
+            return lambda w: bool(w) and abs(w[-1]) > limit
+        return lambda w: len(w) >= n and all(abs(v) > limit for v in w[-n:])
     if kind is RuleKind.RANGE:
-        return max(tail) - min(tail) > limit
+        return lambda w: len(w) >= n and max(w[-n:]) - min(w[-n:]) > limit
+
     if kind is RuleKind.MEAN:
-        return abs(math.fsum(tail)) / n > limit
-    # StdDev, n-1 divisor
-    mean = math.fsum(tail) / n
-    var = math.fsum((v - mean) ** 2 for v in tail) / (n - 1)
-    return math.sqrt(var) > limit
+        bound = limit * n
+        return lambda w: len(w) >= n and abs(sum(w[-n:])) > bound
+
+    def std_dev(w):
+        if len(w) < n:
+            return False
+        tail = w[-n:]
+        mean = sum(tail) / n
+        return sum((v - mean) ** 2 for v in tail) / (n - 1) > limit * limit
+
+    return std_dev
+
+
+def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
+    """Apply one rule to the last ``rule.n`` values of ``window``."""
+    return window_predicate(rule)(window)
+
+
+def compile_expr(expr: ExprTree, leaf: Callable[[Rule], Callable]) -> Callable:
+    """The one walk from a tree to a predicate, ``leaf(rule)`` giving each
+    rule's; AND and OR short-circuit, and the empty tree never holds."""
+    if expr is None:
+        return lambda arg: False
+    if isinstance(expr, Leaf):
+        return leaf(expr.rule)
+    left = compile_expr(expr.left, leaf)
+    right = compile_expr(expr.right, leaf)
+    if expr.op is OperatorKind.AND:
+        return lambda arg: left(arg) and right(arg)
+    return lambda arg: left(arg) or right(arg)
 
 
 def build_expr(procedure: Procedure) -> ExprTree:
@@ -175,13 +198,7 @@ def build_expr(procedure: Procedure) -> ExprTree:
 
 
 def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
-    if expr is None:
-        return False
-    if isinstance(expr, Leaf):
-        return evaluate_rule(expr.rule, window)
-    if expr.op is OperatorKind.AND:
-        return evaluate_expr(expr.left, window) and evaluate_expr(expr.right, window)
-    return evaluate_expr(expr.left, window) or evaluate_expr(expr.right, window)
+    return compile_expr(expr, window_predicate)(window)
 
 
 def flatten(expr: ExprTree):
@@ -252,19 +269,15 @@ _ATOM_BIT = {kind: i for i, kind in enumerate(RuleKind)}
 
 def _truth_table(atoms, op_choice) -> int:
     """16-row truth table (bitmask) of an atom/operator sequence."""
-    tree = build_expr(
-        Procedure(
-            tuple(_ATOM_RULES[a] for a in atoms),
-            tuple(Operator(kind, prio) for kind, prio in op_choice),
-        )
+    procedure = Procedure(
+        tuple(_ATOM_RULES[a] for a in atoms),
+        tuple(Operator(kind, prio) for kind, prio in op_choice),
     )
-    return sum(1 << row for row in range(16) if _holds(tree, row))
+    holds = compile_expr(build_expr(procedure), _atom_bit)
+    return sum(1 << row for row in range(16) if holds(row))
 
 
-def _holds(tree: ExprTree, row: int) -> bool:
-    """Value of a placeholder-rule tree when atom i has the value of bit i of row."""
-    if isinstance(tree, Leaf):
-        return bool((row >> _ATOM_BIT[tree.rule.kind]) & 1)
-    if tree.op is OperatorKind.AND:
-        return _holds(tree.left, row) and _holds(tree.right, row)
-    return _holds(tree.left, row) or _holds(tree.right, row)
+def _atom_bit(rule: Rule):
+    """Leaf predicate: in truth-table row r, atom i has the value of bit i."""
+    bit = _ATOM_BIT[rule.kind]
+    return lambda row: bool((row >> bit) & 1)

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
-from .rng import RandomStream
-from .rules import Leaf, OperatorKind, Procedure, Rule, RuleKind, build_expr
+from .rng import STREAM_JUMP, RandomStream
+from .rules import Procedure, Rule, build_expr, compile_expr, window_predicate
 
 # Substream offsets of plan.stream used by estimate_performance, one per
 # error condition, plus a fixed gap to each condition's stream of
@@ -69,8 +69,12 @@ class SimulationPlan:
     stream: Optional[RandomStream] = None  # runtime state: see RUNTIME_FIELDS
 
     def __post_init__(self):
-        if self.measurements_per_level < 1:
-            raise InvalidArgumentError("measurements_per_level must be >= 1")
+        if not 1 <= self.measurements_per_level <= STREAM_JUMP // 2:
+            # A condition's pool draws two levels' worth from one stream.
+            raise InvalidArgumentError(
+                f"measurements_per_level must be in [1, {STREAM_JUMP // 2}], "
+                f"got {self.measurements_per_level}"
+            )
         if self.levels not in (1, 2):
             raise InvalidArgumentError(f"levels must be 1 or 2, got {self.levels}")
         if not 1 <= self.per_level_per_run <= 4:
@@ -109,6 +113,10 @@ class DeviatePool:
         self._restore_stream = restore_stream
 
     def restore_slice(self, start: int, count: int) -> list:
+        if start + count > STREAM_JUMP:
+            raise InvalidArgumentError(
+                f"restoration needs {start + count} deviates; a stream holds {STREAM_JUMP}"
+            )
         missing = start + count - len(self._restore)
         if missing > 0:
             stream = self._restore_stream
@@ -116,61 +124,20 @@ class DeviatePool:
         return self._restore[start : start + count]
 
 
-def _window_predicate(rule: Rule):
-    """Specialized closure evaluating one rule on a single rolling window."""
-    n, limit = rule.n, rule.limit
-    kind = rule.kind
-    if kind is RuleKind.SINGLE_VALUE:
-        if n == 1:
-            return lambda w: bool(w) and abs(w[-1]) > limit
-        return lambda w: len(w) >= n and all(abs(v) > limit for v in w[-n:])
-    if kind is RuleKind.RANGE:
-        return lambda w: len(w) >= n and max(w[-n:]) - min(w[-n:]) > limit
-
-    if kind is RuleKind.MEAN:
-        bound = limit * n
-        return lambda w: len(w) >= n and abs(sum(w[-n:])) > bound
-
-    def std_dev(w):
-        if len(w) < n:
-            return False
-        tail = w[-n:]
-        mean = sum(tail) / n
-        return sum((v - mean) ** 2 for v in tail) / (n - 1) > limit * limit
-
-    return std_dev
-
-
 def _rule_predicate(rule: Rule):
-    """A rule triggers if any of its windows (cross-level or per-level)
-    does."""
-    on_window = _window_predicate(rule)
+    """A rule triggers if any of its windows (cross-level or per-level) does."""
+    on_window = window_predicate(rule)
     return lambda windows: any(on_window(w) for w in windows)
 
 
 class CompiledProcedure:
-    """Procedure compiled to nested closures over the window set."""
+    """Procedure compiled to one predicate over the window set."""
 
-    __slots__ = ("evaluate", "max_window", "levels", "per_level")
+    __slots__ = ("evaluate", "max_window")
 
     def __init__(self, procedure: Procedure):
-        expr = build_expr(procedure)
         self.max_window = max((r.n for r in procedure.rules), default=0)
-        self.levels = procedure.levels
-        self.per_level = procedure.per_level
-        self.evaluate = self._compile(expr)
-
-    @staticmethod
-    def _compile(expr):
-        if expr is None:
-            return lambda windows: False
-        if isinstance(expr, Leaf):
-            return _rule_predicate(expr.rule)
-        left = CompiledProcedure._compile(expr.left)
-        right = CompiledProcedure._compile(expr.right)
-        if expr.op is OperatorKind.AND:
-            return lambda windows: left(windows) and right(windows)
-        return lambda windows: left(windows) or right(windows)
+        self.evaluate = compile_expr(build_expr(procedure), _rule_predicate)
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -223,6 +190,8 @@ def simulate_condition(
 
     max_window = compiled.max_window
     evaluate = compiled.evaluate
+    # The windows only grow: every predicate reads the last n <= max_window
+    # values, and a rejection resets each window to max_window values.
     pooled: list = []
     by_level = [[] for _ in range(levels)]
     windows = (pooled, *by_level)
@@ -236,22 +205,14 @@ def simulate_condition(
                 x = series[idx] * k + delta
                 idx += 1
                 pooled.append(x)
-                if len(pooled) > max_window:
-                    del pooled[0]
-                level_window = by_level[level]
-                level_window.append(x)
-                if len(level_window) > max_window:
-                    del level_window[0]
+                by_level[level].append(x)
         if evaluate(windows):
             rejected += 1
             if max_window:
                 values = pool.restore_slice(cursor, restore_per_rejection)
                 cursor += restore_per_rejection
-                pooled[:] = values[:max_window]
-                for level in range(levels):
-                    by_level[level][:] = values[
-                        max_window * (1 + level) : max_window * (2 + level)
-                    ]
+                for i, window in enumerate(windows):
+                    window[:] = values[max_window * i : max_window * (i + 1)]
     return rejected / runs
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qcdesign.config import JobConfig, default_config, load_config
 from qcdesign.errors import ConfigError
+from qcdesign.rng import DEFAULT_MODULUS
 from qcdesign.simulator import RUNTIME_FIELDS
 
 
@@ -139,6 +140,34 @@ def test_wrong_types_exit_with_config_error(tmp_path, capsys, payload):
     code = main(["--config", _write(tmp_path, payload), "critical-errors"])
     assert code == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-5, 0, DEFAULT_MODULUS])
+def test_config_seed_out_of_range_exits_with_config_error(tmp_path, capsys, seed):
+    code = main(["--config", _write(tmp_path, {"ga": {"seed": seed}}), "critical-errors"])
+    assert code == EXIT_CONFIG
+    assert "seed must be in" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", ["0", str(DEFAULT_MODULUS)])
+def test_seed_flag_out_of_range_exits_with_config_error(capsys, seed):
+    assert main(["--seed", seed, "evaluate", "1_2.4s"]) == EXIT_CONFIG
+    assert "seed must be in" in capsys.readouterr().err
+
+
+def test_seed_env_out_of_range_exits_with_config_error(monkeypatch, capsys):
+    monkeypatch.setenv("QCDESIGN_SEED", "0")
+    assert main(["evaluate", "1_2.4s"]) == EXIT_CONFIG
+    assert "seed must be in" in capsys.readouterr().err
+
+
+def test_plan_size_bounded_by_stream_spacing(tmp_path, capsys):
+    # A condition's pool draws 2 * measurements_per_level deviates from one
+    # stream, and streams start STREAM_JUMP = 100,000 draws apart.
+    assert load_config(_write(tmp_path, {"plan": {"measurements_per_level": 50000}}))
+    path = _write(tmp_path, {"plan": {"measurements_per_level": 60000}})
+    assert main(["--config", path, "critical-errors"]) == EXIT_CONFIG
+    assert "measurements_per_level" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

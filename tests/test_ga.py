@@ -38,6 +38,9 @@ def test_params_validation():
         GaParams(crossover_kind="uniform")
     with pytest.raises(InvalidArgumentError):
         GaParams(mutation_schedule=((10, 0.1), (5, 0.2)))
+    for seed in (-5, 0, 2**31 - 1):
+        with pytest.raises(InvalidArgumentError, match="seed must be in"):
+            GaParams(seed=seed)
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
+from qcdesign.rng import new_stream
 from qcdesign.rules import (
     Leaf,
     Node,
@@ -19,6 +20,13 @@ from qcdesign.rules import (
     evaluate_rule,
     flatten,
     min_n,
+)
+from qcdesign.simulator import (
+    CompiledProcedure,
+    DeviatePool,
+    SimulationPlan,
+    in_control,
+    simulate_condition,
 )
 
 S, R, M, D = (
@@ -247,3 +255,36 @@ def test_flatten_roundtrip(procedure):
     rules, kinds = flatten(build_expr(procedure))
     assert tuple(rules) == procedure.rules
     assert kinds == [op.kind for op in procedure.operators]
+
+
+# ----------------------------------------------------- kernel agreement
+
+# Windows on the boundary of a rule, where |mean| > x and |sum| > n*x (or
+# SD > x and variance > x**2) differ in floating point.
+_BOUNDARY_WINDOWS = [
+    (Rule(M, 3, 0.7), [-3.1, -4.0, 5.0]),
+    (Rule(D, 3, 3.9), [-1.9, 2.0, 5.9]),
+    (Rule(D, 4, 4.6), [1.7, 5.7, -5.1, -1.5]),
+]
+
+
+@pytest.mark.parametrize("rule, window", _BOUNDARY_WINDOWS)
+def test_reference_evaluator_agrees_with_simulator(rule, window):
+    """One run of len(window) measurements on one level sees exactly window."""
+    procedure = Procedure((rule,), (), levels=1, per_level=len(window))
+    plan = SimulationPlan(measurements_per_level=len(window))
+    pool = DeviatePool(window, new_stream(1, 9))
+    rejected = simulate_condition(procedure, plan, in_control(), pool)
+    assert float(evaluate_rule(rule, window)) == rejected
+
+
+_grid_windows = st.lists(
+    st.integers(min_value=-63, max_value=63).map(lambda tenth: round(0.1 * tenth, 1)),
+    max_size=8,
+)
+
+
+@given(_procedures(), _grid_windows)
+def test_compiled_procedure_agrees_with_reference(procedure, window):
+    expected = evaluate_expr(build_expr(procedure), window)
+    assert CompiledProcedure(procedure).evaluate((window,)) == expected

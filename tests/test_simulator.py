@@ -6,7 +6,7 @@ import pytest
 
 from qcdesign.error_model import single_value_power_oracle
 from qcdesign.errors import InvalidArgumentError
-from qcdesign.rng import new_stream
+from qcdesign.rng import STREAM_JUMP, new_stream
 from qcdesign.rules import Operator, OperatorKind, Procedure, Rule, RuleKind
 from qcdesign.simulator import (
     DeviatePool,
@@ -144,10 +144,20 @@ def test_error_condition_validation():
 def test_plan_validation():
     with pytest.raises(InvalidArgumentError):
         SimulationPlan(measurements_per_level=0)
+    with pytest.raises(InvalidArgumentError):  # two levels' draws overrun a stream
+        SimulationPlan(measurements_per_level=STREAM_JUMP // 2 + 1)
     with pytest.raises(InvalidArgumentError):
         SimulationPlan(levels=3)
     with pytest.raises(InvalidArgumentError):
         SimulationPlan(per_level_per_run=5)
+
+
+def test_restore_slice_cannot_overrun_its_stream():
+    stream = new_stream(1, 9)
+    pool = DeviatePool([], stream)
+    with pytest.raises(InvalidArgumentError, match="restoration"):
+        pool.restore_slice(STREAM_JUMP - 2, 4)
+    assert stream.state == new_stream(1, 9).state  # nothing drawn
 
 
 def test_missing_stream_and_budget_errors(sodium_critical):
