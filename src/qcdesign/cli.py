@@ -166,7 +166,7 @@ def cmd_compare(cfg: JobConfig, extra_procedures) -> str:
 
 def cmd_design(cfg: JobConfig) -> str:
     report = ga_mod.run_design(
-        cfg.layout, cfg.plan, cfg.assay, cfg.objective, cfg.ga
+        cfg.layout, cfg.plan, cfg.assay, cfg.objective, cfg.ga, threads=cfg.threads
     )
     if cfg.output_format == "csv":
         return _csv(

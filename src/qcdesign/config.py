@@ -20,7 +20,7 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .error_model import AssayParams
 from .errors import ConfigError, InvalidArgumentError
-from .ga import GaParams
+from .ga import OPERATOR_DRAW_BUDGET, GaParams, operator_draws
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
 from .simulator import RUNTIME_FIELDS, SimulationPlan
@@ -58,6 +58,15 @@ class JobConfig:
             raise ConfigError("replicates must be an integer >= 2")
         if self.threads < 1:
             raise ConfigError("threads must be an integer >= 1")
+        # Fresh-seed simulation streams start where the operator budget ends.
+        if self.ga.fresh_seeds_per_generation:
+            draws = operator_draws(self.layout, self.ga)
+            if draws > OPERATOR_DRAW_BUDGET:
+                raise ConfigError(
+                    f"ga: {self.ga.generations} generations at population "
+                    f"{self.ga.population} may draw {draws} operator uniforms; "
+                    f"with fresh_seeds_per_generation the stream holds {OPERATOR_DRAW_BUDGET}"
+                )
 
 
 def default_config() -> JobConfig:

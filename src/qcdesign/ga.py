@@ -6,18 +6,23 @@ fitter, or equally fit with fewer operators. By default every
 evaluation in a run uses the same simulation substreams (common random
 numbers), which makes the crowding comparisons meaningful and the
 best-fitness trajectory monotone.
+
+A generation breeds every child first, then simulates the distinct
+procedures among them as one batch (on worker processes when asked),
+then replaces parents pair by pair. Replacement depends only on fitness,
+so the order of evaluation never changes the result.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence, Union
 
 from .error_model import AssayParams, CriticalErrors, critical_errors
 from .errors import InvalidArgumentError
 from .genome import Genome, GenomeLayout, decode, genome_length, hamming_distance
 from .objective import ObjectiveConfig, comparison_f1, fitness_f
-from .rng import DEFAULT_MODULUS, RandomStream, new_stream
+from .rng import DEFAULT_MODULUS, STREAM_JUMP, RandomStream, new_stream
 from .rules import canonical_notation
 from .simulator import (
     IDS_PER_SIMULATION,
@@ -27,6 +32,7 @@ from .simulator import (
     draw_condition_pools,
     estimate_performance,
     resolve_shape,
+    worker_map,
 )
 
 # Stream-id conventions within a design run (all relative to the master
@@ -37,6 +43,9 @@ from .simulator import (
 _SIM_STREAM_ID = 0
 _OPS_STREAM_ID = 50
 _FRESH_SIM_BASE = 100
+# Uniforms the operator stream may draw before it reaches the first
+# fresh-seed simulation stream.
+OPERATOR_DRAW_BUDGET = (_FRESH_SIM_BASE - _OPS_STREAM_ID) * STREAM_JUMP
 
 # Report keys that differ from the field they come from.
 _REPORT_KEYS = {
@@ -122,8 +131,23 @@ class Individual:
     operator_count: int
 
 
+# The deviate pools of the last simulation key this process used. A
+# worker keeps them between tasks, so it draws them once per key.
+_last_pools: list = [None, None]
+
+
+def _estimate(task) -> PerformanceEstimate:
+    """Estimate one procedure on the pools of its (seed, stream id, size) key."""
+    procedure, plan, critical, key = task
+    if _last_pools[0] != key:
+        seed, stream_id, size = key
+        _last_pools[:] = [key, draw_condition_pools(new_stream(seed, stream_id), size)]
+    return estimate_performance(procedure, plan, critical, pools=_last_pools[1])
+
+
 class PopulationEvaluator:
-    """Caches simulations; all genomes share one set of deviate pools."""
+    """Simulates each distinct decoded procedure once; all share one set of
+    deviate pools, drawn from ``sim_stream``'s seed and stream id."""
 
     def __init__(
         self,
@@ -131,29 +155,34 @@ class PopulationEvaluator:
         critical: CriticalErrors,
         cfg: ObjectiveConfig,
         sim_stream: RandomStream,
+        map_tasks: Callable = map,
     ):
         self.plan = plan
         self.critical = critical
         self.cfg = cfg
-        self._pools = draw_condition_pools(sim_stream, plan.measurements_per_level)
-        self._cache: dict = {}
+        self._key = (sim_stream.seed, sim_stream.stream_id, plan.measurements_per_level)
+        self._map = map_tasks
+        self._cache: dict = {}  # Procedure -> PerformanceEstimate
 
-    def evaluate(self, genome: Genome) -> Individual:
-        cached = self._cache.get(genome.bits)
-        if cached is not None:
-            return cached
-        procedure = decode(genome)
-        estimate = estimate_performance(
-            procedure, self.plan, self.critical, pools=self._pools
-        )
-        individual = Individual(
-            genome=genome,
-            fitness=fitness_f(estimate, self.cfg),
-            estimate=estimate,
-            operator_count=procedure.operator_count,
-        )
-        self._cache[genome.bits] = individual
-        return individual
+    def evaluate(self, genomes: Sequence[Genome]) -> list:
+        """One Individual per genome, simulating the uncached procedures
+        as one batch."""
+        procedures = [decode(genome) for genome in genomes]
+        missing = list(dict.fromkeys(p for p in procedures if p not in self._cache))
+        tasks = [(p, self.plan, self.critical, self._key) for p in missing]
+        self._cache.update(zip(missing, self._map(_estimate, tasks)))
+        individuals = []
+        for genome, procedure in zip(genomes, procedures):
+            estimate = self._cache[procedure]
+            individuals.append(
+                Individual(
+                    genome=genome,
+                    fitness=fitness_f(estimate, self.cfg),
+                    estimate=estimate,
+                    operator_count=procedure.operator_count,
+                )
+            )
+        return individuals
 
 
 def evaluate_population(
@@ -167,7 +196,7 @@ def evaluate_population(
     evaluator = PopulationEvaluator(
         plan, critical, cfg, new_stream(generation_seed, _SIM_STREAM_ID)
     )
-    return [evaluator.evaluate(g) for g in genomes]
+    return evaluator.evaluate(genomes)
 
 
 def _shuffle(items: list, rng: RandomStream) -> None:
@@ -210,28 +239,35 @@ def _mutate(genome: Genome, rate: float, rng: RandomStream) -> Genome:
 def crowding_generation(
     population: list,
     params: GaParams,
-    evaluate: Callable[[Genome], Individual],
+    evaluate: Union[PopulationEvaluator, Callable[[Genome], Individual]],
     rng: RandomStream,
     generation: int = 0,
     on_replacement: Optional[Callable[[Individual, Individual], None]] = None,
 ) -> list:
-    """One deterministic-crowding step; returns the next population."""
+    """One deterministic-crowding step; returns the next population.
+
+    ``evaluate`` is a PopulationEvaluator, which evaluates the whole brood
+    as one batch, or a function from a genome to its Individual.
+    """
     if len(population) % 2:
         raise InvalidArgumentError("population size must be even")
-    current = list(population)
-    _shuffle(current, rng)
+    parents = list(population)
+    _shuffle(parents, rng)
     rate = params.mutation_rate(generation)
-    next_population = []
-    for i in range(0, len(current), 2):
-        p1, p2 = current[i], current[i + 1]
+    brood = []
+    for p1, p2 in zip(parents[::2], parents[1::2]):
         if rng.next_uniform() < params.p_crossover:
             g1, g2 = _crossover(p1.genome, p2.genome, params, rng)
         else:
             g1, g2 = p1.genome, p2.genome
-        g1 = _mutate(g1, rate, rng)
-        g2 = _mutate(g2, rate, rng)
-        c1, c2 = evaluate(g1), evaluate(g2)
+        brood += (_mutate(g1, rate, rng), _mutate(g2, rate, rng))
+    if isinstance(evaluate, PopulationEvaluator):
+        children = evaluate.evaluate(brood)
+    else:
+        children = [evaluate(genome) for genome in brood]
 
+    next_population = []
+    for p1, p2, c1, c2 in zip(parents[::2], parents[1::2], children[::2], children[1::2]):
         straight = hamming_distance(p1.genome, c1.genome) + hamming_distance(
             p2.genome, c2.genome
         )
@@ -253,6 +289,27 @@ def crowding_generation(
             else:
                 next_population.append(parent)
     return next_population
+
+
+def _mutating_generations(params: GaParams) -> int:
+    """Generations in [1, params.generations] whose mutation rate is > 0."""
+    ends = [start for start, _ in params.mutation_schedule[1:]] + [params.generations + 1]
+    return sum(
+        max(0, min(end, params.generations + 1) - max(start, 1))
+        for (start, rate), end in zip(params.mutation_schedule, ends)
+        if rate > 0
+    )
+
+
+def operator_draws(layout: GenomeLayout, params: GaParams) -> int:
+    """Most uniforms a run draws from the operator stream: the initial
+    population, then per generation the shuffle, a crossover draw and the
+    cut(s) for every pair, and, while the rate is > 0, one draw per bit of
+    every child."""
+    cuts = 1 if params.crossover_kind == "single_point" else 2
+    per_generation = params.population - 1 + params.population // 2 * (1 + cuts)
+    bits = params.population * genome_length(layout)
+    return bits * (1 + _mutating_generations(params)) + params.generations * per_generation
 
 
 @dataclass(frozen=True)
@@ -320,25 +377,15 @@ def run_design(
     params: GaParams,
     max_best: int = 10,
     on_replacement: Optional[Callable[[Individual, Individual], None]] = None,
+    threads: int = 1,
 ) -> DesignReport:
     """Full design run: random initial population, crowding generations,
-    and a report of the best procedures found (deduplicated by notation)."""
+    and a report of the best procedures found (deduplicated by notation).
+
+    Simulations run on up to ``threads`` processes; the report does not
+    depend on their number."""
     critical = critical_errors(assay)
     ops_rng = new_stream(params.seed, _OPS_STREAM_ID)
-
-    def make_evaluator(generation: int) -> PopulationEvaluator:
-        if params.fresh_seeds_per_generation:
-            sim = new_stream(
-                params.seed, _FRESH_SIM_BASE + IDS_PER_SIMULATION * generation
-            )
-        else:
-            sim = new_stream(params.seed, _SIM_STREAM_ID)
-        return PopulationEvaluator(plan, critical, cfg, sim)
-
-    evaluator = make_evaluator(0)
-    genomes = [_random_genome(layout, ops_rng) for _ in range(params.population)]
-    population = [evaluator.evaluate(g) for g in genomes]
-
     best_seen: dict = {}
 
     def note_best(individuals):
@@ -348,22 +395,37 @@ def run_design(
             if prev is None or ind.fitness < prev.fitness:
                 best_seen[notation] = ind
 
-    log = [_record(0, min(population, key=lambda ind: ind.fitness))]
-    note_best(population)
+    # One pool for the whole run: the batches are a generation apart.
+    with worker_map(threads, params.population) as map_tasks:
 
-    for generation in range(1, params.generations + 1):
-        if params.fresh_seeds_per_generation:
-            evaluator = make_evaluator(generation)
-        population = crowding_generation(
-            population,
-            params,
-            evaluator.evaluate,
-            ops_rng,
-            generation=generation,
-            on_replacement=on_replacement,
-        )
+        def make_evaluator(generation: int) -> PopulationEvaluator:
+            if params.fresh_seeds_per_generation:
+                sim = new_stream(
+                    params.seed, _FRESH_SIM_BASE + IDS_PER_SIMULATION * generation
+                )
+            else:
+                sim = new_stream(params.seed, _SIM_STREAM_ID)
+            return PopulationEvaluator(plan, critical, cfg, sim, map_tasks)
+
+        evaluator = make_evaluator(0)
+        genomes = [_random_genome(layout, ops_rng) for _ in range(params.population)]
+        population = evaluator.evaluate(genomes)
+        log = [_record(0, min(population, key=lambda ind: ind.fitness))]
         note_best(population)
-        log.append(_record(generation, min(population, key=lambda ind: ind.fitness)))
+
+        for generation in range(1, params.generations + 1):
+            if params.fresh_seeds_per_generation:
+                evaluator = make_evaluator(generation)
+            population = crowding_generation(
+                population,
+                params,
+                evaluator,
+                ops_rng,
+                generation=generation,
+                on_replacement=on_replacement,
+            )
+            note_best(population)
+            log.append(_record(generation, min(population, key=lambda ind: ind.fitness)))
 
     ranked = sorted(
         best_seen.items(), key=lambda item: (item[1].fitness, item[0])

@@ -14,13 +14,15 @@ values before the error is reintroduced in the next run.
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream
-from .rules import Procedure, Rule, build_expr, compile_expr, window_predicate
+from .rules import N_MAX, Procedure, Rule, build_expr, compile_expr, window_predicate
 
 # Substream offsets of plan.stream used by estimate_performance, one per
 # error condition, plus a fixed gap to each condition's stream of
@@ -29,6 +31,11 @@ from .rules import Procedure, Rule, build_expr, compile_expr, window_predicate
 _COND_OFFSETS = {"in_control": 1, "random": 2, "systematic": 3}
 _RESTORE_GAP = 4
 IDS_PER_SIMULATION = 8
+
+# Largest plan whose restoration streams cannot overrun: in the worst case
+# every run rejects, and each rejection reloads N_MAX values into the
+# cross-level window and each of up to two per-level windows.
+MAX_MEASUREMENTS_PER_LEVEL = STREAM_JUMP // (N_MAX * (1 + 2))
 
 
 @dataclass(frozen=True)
@@ -69,10 +76,9 @@ class SimulationPlan:
     stream: Optional[RandomStream] = None  # runtime state: see RUNTIME_FIELDS
 
     def __post_init__(self):
-        if not 1 <= self.measurements_per_level <= STREAM_JUMP // 2:
-            # A condition's pool draws two levels' worth from one stream.
+        if not 1 <= self.measurements_per_level <= MAX_MEASUREMENTS_PER_LEVEL:
             raise InvalidArgumentError(
-                f"measurements_per_level must be in [1, {STREAM_JUMP // 2}], "
+                f"measurements_per_level must be in [1, {MAX_MEASUREMENTS_PER_LEVEL}], "
                 f"got {self.measurements_per_level}"
             )
         if self.levels not in (1, 2):
@@ -260,3 +266,21 @@ def draw_condition_pools(
         series = [sub.next_normal() for _ in range(2 * measurements_per_level)]
         pools[name] = DeviatePool(series, base_stream.substream(offset + _RESTORE_GAP))
     return pools
+
+
+@contextmanager
+def worker_map(threads: int, tasks: int):
+    """``map(fn, tasks)`` over min(threads, tasks, cores) processes.
+
+    With one process it is the serial map; otherwise the pool lives until
+    the block ends, so a caller with many batches pays its start-up once.
+    """
+    # More workers than tasks or cores would only add start-up cost.
+    workers = min(threads, tasks, os.cpu_count() or 1)
+    if workers <= 1:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
+    import multiprocessing  # only when needed: it slows start-up
+
+    with multiprocessing.Pool(workers) as pool:
+        yield pool.map

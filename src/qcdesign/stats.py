@@ -10,7 +10,6 @@ the per-replicate values.
 from __future__ import annotations
 
 import math
-import os
 import statistics
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -25,6 +24,7 @@ from .simulator import (
     SimulationPlan,
     draw_condition_pools,
     estimate_performance,
+    worker_map,
 )
 
 
@@ -119,15 +119,8 @@ def compare_procedures(
         (list(procedures), plan_template, critical, base_seed, r)
         for r in range(replicates)
     ]
-    # More workers than replicates or cores would only add start-up cost.
-    workers = min(threads, replicates, os.cpu_count() or 1)
-    if workers > 1:
-        import multiprocessing
-
-        with multiprocessing.Pool(workers) as pool:
-            per_replicate = pool.map(_replicate_estimates, tasks)
-    else:
-        per_replicate = [_replicate_estimates(t) for t in tasks]
+    with worker_map(threads, replicates) as map_tasks:
+        per_replicate = map_tasks(_replicate_estimates, tasks)
 
     rows = []
     for index, (name, _) in enumerate(procedures):

@@ -82,6 +82,18 @@ def test_infeasible_assay_exit_code(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_design_runtime_error_exit_code(monkeypatch, capsys, tmp_path, threads):
+    # A genome asking for 4 measurements per level gets no run from a budget
+    # of 2; raised in a pool worker, the error still exits 4 with a message.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    plan = {"measurements_per_level": 2}
+    cfg = _small_config(tmp_path, plan=plan, layout={"optimize_per_level": True})
+    code, _, err = _run(capsys, "--config", cfg, "--threads", threads, "design")
+    assert code == EXIT_RUNTIME
+    assert err.startswith("error: per-level budget 2 yields zero runs")
+
+
 def test_bad_threads_rejected(capsys):
     code, _, err = _run(capsys, "--threads", "0", "critical-errors")
     assert code == EXIT_CONFIG

@@ -162,12 +162,33 @@ def test_seed_env_out_of_range_exits_with_config_error(monkeypatch, capsys):
 
 
 def test_plan_size_bounded_by_stream_spacing(tmp_path, capsys):
-    # A condition's pool draws 2 * measurements_per_level deviates from one
-    # stream, and streams start STREAM_JUMP = 100,000 draws apart.
-    assert load_config(_write(tmp_path, {"plan": {"measurements_per_level": 50000}}))
-    path = _write(tmp_path, {"plan": {"measurements_per_level": 60000}})
-    assert main(["--config", path, "critical-errors"]) == EXIT_CONFIG
-    assert "measurements_per_level" in capsys.readouterr().err
+    # Streams start STREAM_JUMP = 100,000 draws apart, and in the worst case
+    # every run rejects and reloads 4 * (1 + 2) restoration deviates.
+    assert load_config(_write(tmp_path, {"plan": {"measurements_per_level": 8333}}))
+    for size in (10000, 60000):
+        path = _write(tmp_path, {"plan": {"measurements_per_level": size}})
+        assert main(["--config", path, "critical-errors"]) == EXIT_CONFIG
+        assert "measurements_per_level" in capsys.readouterr().err
+
+
+def test_largest_plan_restores_after_every_run(tmp_path, capsys):
+    # M(4,0.0) rejects nearly every run: the restoration budget is spent.
+    path = _write(tmp_path, {"plan": {"measurements_per_level": 8333}})
+    assert main(["--config", path, "--format", "csv", "evaluate", "M(4,0.0)"]) == EXIT_OK
+    assert capsys.readouterr().out.startswith("procedure,")
+
+
+@pytest.mark.parametrize("generations, code", [(150, EXIT_OK), (250, EXIT_CONFIG)])
+def test_fresh_seed_operator_draws_bounded(tmp_path, capsys, generations, code):
+    # At pop 600 a mutating generation draws about 25,000 operator uniforms;
+    # the first fresh-seed simulation stream starts 50 streams past them.
+    ga = {"generations": generations, "fresh_seeds_per_generation": True}
+    assert main(["--config", _write(tmp_path, {"ga": ga}), "critical-errors"]) == code
+    if code == EXIT_CONFIG:
+        assert "operator" in capsys.readouterr().err
+    # Common-random-number mode simulates on no stream past id 7.
+    ga["fresh_seeds_per_generation"] = False
+    assert load_config(_write(tmp_path, {"ga": ga})).ga.generations == generations
 
 
 @pytest.mark.parametrize(

@@ -8,11 +8,12 @@ from qcdesign.ga import (
     Individual,
     crowding_generation,
     evaluate_population,
+    operator_draws,
     run_design,
 )
-from qcdesign.genome import GenomeLayout, encode
+from qcdesign.genome import Genome, GenomeLayout, encode
 from qcdesign.objective import ObjectiveConfig
-from qcdesign.rng import new_stream
+from qcdesign.rng import RandomStream, new_stream
 from qcdesign.rules import Procedure, Rule, RuleKind
 from qcdesign.simulator import SimulationPlan
 
@@ -194,3 +195,79 @@ def test_report_dict_shape(sodium_assay, sodium_plan):
     assert doc["critical"]["delta_se"] == pytest.approx(3.495, abs=0.001)
     assert {"procedure", "f", "f1", "genome"} <= set(doc["best"][0])
     assert len(doc["generation_log"]) == 2
+
+
+@pytest.mark.parametrize("fresh", [False, True])
+def test_report_independent_of_threads(monkeypatch, sodium_assay, fresh):
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool even on 1 core
+    kwargs = dict(
+        layout=LAYOUT,
+        plan=SimulationPlan(measurements_per_level=300),
+        assay=sodium_assay,
+        cfg=ObjectiveConfig(),
+        params=_params(
+            generations=3,
+            mutation_schedule=((0, 0.0), (2, 0.05)),
+            fresh_seeds_per_generation=fresh,
+        ),
+    )
+    serial = run_design(**kwargs, threads=1).to_dict()
+    assert run_design(**kwargs, threads=2).to_dict() == serial
+
+
+def test_synonym_genomes_share_one_simulation(monkeypatch, sodium_critical, sodium_plan):
+    import qcdesign.ga as ga
+
+    calls = []
+    real = ga.estimate_performance
+
+    def counted(procedure, *args, **kwargs):
+        calls.append(procedure)
+        return real(procedure, *args, **kwargs)
+
+    monkeypatch.setattr(ga, "estimate_performance", counted)
+    genome = encode(Procedure((Rule(RuleKind.MEAN, 2, 1.9),), (), levels=2), LAYOUT)
+    # Rule slot 2 is disabled (flag bit 11 is 0); its other bits are ignored.
+    synonym = Genome(genome.bits[:12] + (1,) * 10 + genome.bits[22:], LAYOUT)
+    assert synonym != genome
+    first, second = evaluate_population(
+        [genome, synonym], sodium_plan, sodium_critical, ObjectiveConfig(), 12345
+    )
+    assert len(calls) == 1
+    assert (first.genome, second.genome) == (genome, synonym)
+    assert first.fitness == second.fitness and first.estimate == second.estimate
+
+
+class _CountingStream(RandomStream):
+    __slots__ = ("draws",)
+
+    def __init__(self, seed, stream_id):
+        super().__init__(seed, stream_id)
+        self.draws = 0
+
+    def next_uniform(self):
+        self.draws += 1
+        return super().next_uniform()
+
+
+@pytest.mark.parametrize("kind", ["single_point", "two_point"])
+def test_operator_draws_exact_when_every_pair_crosses(monkeypatch, sodium_assay, kind):
+    import qcdesign.ga as ga
+
+    streams = {}
+
+    def new_stream_counted(seed, stream_id=0):
+        streams[stream_id] = _CountingStream(seed, stream_id)
+        return streams[stream_id]
+
+    monkeypatch.setattr(ga, "new_stream", new_stream_counted)
+    params = _params(
+        population=6,
+        generations=4,
+        crossover_kind=kind,
+        mutation_schedule=((0, 0.0), (2, 0.1), (4, 0.0)),
+    )
+    plan = SimulationPlan(measurements_per_level=100)
+    run_design(LAYOUT, plan, sodium_assay, ObjectiveConfig(), params)
+    # initial population, 4 shuffles and pair draws, mutation in generations 2-3
+    assert streams[50].draws == operator_draws(LAYOUT, params)

@@ -64,8 +64,12 @@ def _expand():
                 yield stem, fmt, config, argv
 
 
+def _fixture(stem: str, fmt: str) -> str:
+    return f"{stem}.{'json' if fmt == 'doc' else 'csv'}"
+
+
 PARAMS = [
-    pytest.param(config, fmt, argv, f"{stem}.{'json' if fmt == 'doc' else 'csv'}", id=f"{stem}.{fmt}")
+    pytest.param(config, fmt, argv, _fixture(stem, fmt), id=f"{stem}.{fmt}")
     for stem, fmt, config, argv in _expand()
 ]
 
@@ -82,6 +86,17 @@ def _report(workdir: Path, config: dict, fmt: str, argv: list) -> bytes:
 @pytest.mark.parametrize("config, fmt, argv, fixture", PARAMS)
 def test_report_matches_fixture(tmp_path, config, fmt, argv, fixture):
     assert _report(tmp_path, config, fmt, argv) == (GOLDEN / fixture).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["doc", "csv"])
+@pytest.mark.parametrize(
+    "stem, config", [("design", _DESIGN), ("no_coercion_design", _NO_COERCION)]
+)
+def test_design_on_two_processes_matches_fixture(tmp_path, monkeypatch, stem, config, fmt):
+    # The report must not depend on the worker count, even on a 1-core machine.
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    report = _report(tmp_path, config, fmt, ["--threads", "2", "design"])
+    assert report == (GOLDEN / _fixture(stem, fmt)).read_bytes()
 
 
 def _freeze() -> None:
