@@ -274,6 +274,10 @@ def worker_map(threads: int, tasks: int):
 
     With one process it is the serial map; otherwise the pool lives until
     the block ends, so a caller with many batches pays its start-up once.
+    Tasks go out one at a time: their costs differ several-fold, and with
+    ``pool.map``'s default chunks of about n/8 tasks one worker can be left
+    running a whole chunk while the other waits, by an amount that changes
+    from batch to batch.
     """
     # More workers than tasks or cores would only add start-up cost.
     workers = min(threads, tasks, os.cpu_count() or 1)
@@ -283,4 +287,4 @@ def worker_map(threads: int, tasks: int):
     import multiprocessing  # only when needed: it slows start-up
 
     with multiprocessing.Pool(workers) as pool:
-        yield pool.map
+        yield lambda fn, items: pool.map(fn, items, 1)

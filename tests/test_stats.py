@@ -147,6 +147,7 @@ def test_pool_capped_by_replicates_and_cores(
     import multiprocessing
 
     sizes = []
+    chunks = []
 
     class SerialPool:
         def __init__(self, processes):
@@ -158,7 +159,8 @@ def test_pool_capped_by_replicates_and_cores(
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
+        def map(self, fn, tasks, chunksize=None):
+            chunks.append(chunksize)
             return [fn(t) for t in tasks]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
@@ -167,3 +169,5 @@ def test_pool_capped_by_replicates_and_cores(
     plan = SimulationPlan(measurements_per_level=50)
     compare_procedures(named, plan, sodium_critical, replicates=replicates, threads=threads)
     assert sizes == ([] if expected is None else [expected])
+    # one replicate per task, so neither worker is left holding a chunk
+    assert chunks == ([] if expected is None else [1])
