@@ -24,7 +24,7 @@ from .ga import report_dict
 from .library import builtin_library, load_library_file, parse_procedure
 from .objective import comparison_f1, fitness_f
 from .rng import new_stream
-from .simulator import estimate_performance
+from .simulator import draw_condition_pools, estimate_performance
 from .stats import ComparisonRow, compare_procedures
 
 EXIT_OK = 0
@@ -111,8 +111,8 @@ def cmd_list_library(cfg: JobConfig) -> str:
 def cmd_evaluate(cfg: JobConfig, procedure_text: str) -> str:
     procedure = parse_procedure(procedure_text)
     crit = critical_errors(cfg.assay)
-    plan = replace(cfg.plan, stream=new_stream(cfg.ga.seed, 0))
-    est = estimate_performance(procedure, plan, crit)
+    pools = draw_condition_pools(new_stream(cfg.ga.seed, 0), cfg.plan.measurements_per_level)
+    est = estimate_performance(procedure, cfg.plan, crit, pools)
     f = fitness_f(est, cfg.objective)
     f1 = comparison_f1(est)
     if cfg.output_format == "csv":

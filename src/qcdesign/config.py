@@ -23,7 +23,7 @@ from .errors import ConfigError, InvalidArgumentError
 from .ga import OPERATOR_DRAW_BUDGET, GaParams, operator_draws
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
-from .simulator import RUNTIME_FIELDS, SimulationPlan
+from .simulator import SimulationPlan
 
 DEFAULT_SEED = 12345
 
@@ -120,7 +120,7 @@ def _merged(current, raw, section: Optional[str]):
         if section is None:
             raise ConfigError("config root must be a JSON object")
         raise ConfigError(f"section {section!r} must be an object")
-    unknown = set(raw) - ({f.name for f in fields(current)} - RUNTIME_FIELDS)
+    unknown = set(raw) - {f.name for f in fields(current)}
     if unknown:
         listed = ", ".join(sorted(unknown))
         if section is None:

@@ -16,7 +16,7 @@ so the order of evaluation never changes the result.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .error_model import AssayParams, CriticalErrors, critical_errors
 from .errors import InvalidArgumentError
@@ -26,7 +26,6 @@ from .rng import DEFAULT_MODULUS, STREAM_JUMP, RandomStream, new_stream
 from .rules import canonical_notation
 from .simulator import (
     IDS_PER_SIMULATION,
-    RUNTIME_FIELDS,
     PerformanceEstimate,
     SimulationPlan,
     draw_condition_pools,
@@ -60,11 +59,7 @@ def report_dict(obj) -> dict:
     """A dataclass (nested ones included) as a report mapping."""
     return asdict(
         obj,
-        dict_factory=lambda items: {
-            _REPORT_KEYS.get(key, key): value
-            for key, value in items
-            if key not in RUNTIME_FIELDS
-        },
+        dict_factory=lambda items: {_REPORT_KEYS.get(key, key): value for key, value in items},
     )
 
 
@@ -239,15 +234,15 @@ def _mutate(genome: Genome, rate: float, rng: RandomStream) -> Genome:
 def crowding_generation(
     population: list,
     params: GaParams,
-    evaluate: Union[PopulationEvaluator, Callable[[Genome], Individual]],
+    evaluate: Callable[[Sequence[Genome]], list],
     rng: RandomStream,
     generation: int = 0,
     on_replacement: Optional[Callable[[Individual, Individual], None]] = None,
 ) -> list:
     """One deterministic-crowding step; returns the next population.
 
-    ``evaluate`` is a PopulationEvaluator, which evaluates the whole brood
-    as one batch, or a function from a genome to its Individual.
+    ``evaluate`` maps the whole brood to its Individuals in one call, as
+    :meth:`PopulationEvaluator.evaluate` does.
     """
     if len(population) % 2:
         raise InvalidArgumentError("population size must be even")
@@ -261,10 +256,7 @@ def crowding_generation(
         else:
             g1, g2 = p1.genome, p2.genome
         brood += (_mutate(g1, rate, rng), _mutate(g2, rate, rng))
-    if isinstance(evaluate, PopulationEvaluator):
-        children = evaluate.evaluate(brood)
-    else:
-        children = [evaluate(genome) for genome in brood]
+    children = evaluate(brood)
 
     next_population = []
     for p1, p2, c1, c2 in zip(parents[::2], parents[1::2], children[::2], children[1::2]):
@@ -419,7 +411,7 @@ def run_design(
             population = crowding_generation(
                 population,
                 params,
-                evaluator,
+                evaluator.evaluate,
                 ops_rng,
                 generation=generation,
                 on_replacement=on_replacement,

@@ -16,6 +16,7 @@ equivalent and is rejected.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,26 +67,29 @@ def _parse_westgard(stripped: str, original: str) -> Procedure:
         term = part.strip()
         match = _WESTGARD_TERM.match(term)
         count, limit = match.groups()
-        limit = float(limit)
         position = original.find(term)
         if count is None:
-            rule = _make_rule(RuleKind.RANGE, 2, limit, term, position)
+            rule = _make_rule(RuleKind.RANGE, "2", limit, term, position)
         else:
-            rule = _make_rule(RuleKind.SINGLE_VALUE, int(count), limit, term, position)
+            rule = _make_rule(RuleKind.SINGLE_VALUE, count, limit, term, position)
         rules.append(rule)
     operators = tuple(Operator(OperatorKind.OR, 0) for _ in rules[1:])
     return Procedure(tuple(rules), operators)
 
 
-def _make_rule(kind, n, limit, term, position) -> Rule:
+def _make_rule(kind, n: str, limit: str, term, position) -> Rule:
+    """The rule that digit strings ``n`` and ``limit`` spell."""
+    limit = float(limit)
     # Limits are tenths of an SD: the genome encodes nothing finer, and
-    # notation renders one decimal.
-    if abs(limit * 10 - round(limit * 10)) > 1e-9:
+    # notation renders one decimal. A limit too large for a float is left
+    # to the bounds check.
+    tenths = limit * 10
+    if math.isfinite(tenths) and abs(tenths - round(tenths)) > 1e-9:
         raise ProcedureParseError(
             f"term {term!r}: decision limits take at most one decimal", position
         )
-    try:
-        return Rule(kind, n, limit)
+    try:  # int() also refuses more digits than sys.get_int_max_str_digits()
+        return Rule(kind, int(n), limit)
     except ValueError as exc:
         raise ProcedureParseError(
             f"term {term!r} is outside the generic-rule bounds: {exc}", position
@@ -130,11 +134,14 @@ def _parse_canonical(text: str) -> Procedure:
             left = Node(op_kind, left, right)
         return left
 
-    tree = parse_expr()
-    kind, _, offset = peek()
-    if kind != "end":
-        raise ProcedureParseError("unexpected trailing input", offset)
-    return tree_to_procedure(tree)
+    try:
+        tree = parse_expr()
+        kind, _, offset = peek()
+        if kind != "end":
+            raise ProcedureParseError("unexpected trailing input", offset)
+        return tree_to_procedure(tree)
+    except RecursionError:  # each parenthesis and operator nests a call
+        raise ProcedureParseError("expression nested too deeply to parse") from None
 
 
 _RULE_BODY = re.compile(r"\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)")
@@ -164,9 +171,8 @@ def _tokenize(text: str):
                 raise ProcedureParseError(
                     f"malformed rule after {tok!r}", start
                 )
-            n, limit = int(body.group(1)), float(body.group(2))
             rule = _make_rule(
-                _KIND_BY_LETTER[tok[0]], n, limit, text[start : body.end()], start
+                _KIND_BY_LETTER[tok[0]], *body.groups(), text[start : body.end()], start
             )
             tokens.append(("rule", rule, start))
             i = body.end()
@@ -231,8 +237,12 @@ def builtin_library() -> list:
 
 def load_library_file(path) -> list:
     """Load `name = notation` lines; '#' starts a comment."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ProcedureParseError(f"{path}: not UTF-8 text: {exc}") from exc
     entries = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -16,18 +16,18 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream
 from .rules import N_MAX, Procedure, Rule, build_expr, compile_expr, window_predicate
 
-# Substream offsets of plan.stream used by estimate_performance, one per
-# error condition, plus a fixed gap to each condition's stream of
-# restoration (post-rejection, in-control) deviates.  A simulation
-# therefore occupies eight consecutive stream ids.
+# Substream offsets of a simulation's base stream, one per error
+# condition, plus a fixed gap to each condition's stream of restoration
+# (post-rejection, in-control) deviates.  A simulation therefore occupies
+# eight consecutive stream ids.
 _COND_OFFSETS = {"in_control": 1, "random": 2, "systematic": 3}
 _RESTORE_GAP = 4
 IDS_PER_SIMULATION = 8
@@ -68,12 +68,11 @@ def systematic_error(delta: float) -> ErrorCondition:
     return ErrorCondition(shift=delta)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationPlan:
     measurements_per_level: int = 1000
     levels: int = 2
     per_level_per_run: int = 1
-    stream: Optional[RandomStream] = None  # runtime state: see RUNTIME_FIELDS
 
     def __post_init__(self):
         if not 1 <= self.measurements_per_level <= MAX_MEASUREMENTS_PER_LEVEL:
@@ -87,10 +86,6 @@ class SimulationPlan:
             raise InvalidArgumentError(
                 f"per_level_per_run must be in [1, 4], got {self.per_level_per_run}"
             )
-
-
-# Plan fields each command seeds at run time: no config key, no report entry.
-RUNTIME_FIELDS = frozenset({"stream"})
 
 
 @dataclass(frozen=True)
@@ -160,14 +155,12 @@ def simulate_condition(
     procedure: Procedure,
     plan: SimulationPlan,
     condition: ErrorCondition,
-    pool: Optional[DeviatePool] = None,
+    pool: DeviatePool,
 ) -> float:
     """Fraction of simulated runs the procedure rejects under one condition.
 
-    ``pool`` optionally supplies the raw deviates (enabling
-    common-random-number reuse across procedures); otherwise the
-    measurement series comes from ``plan.stream`` and restoration values
-    from its substream ``_RESTORE_GAP`` ids ahead.
+    ``pool`` supplies the raw deviates; procedures that share it are
+    simulated on common random numbers.
     """
     compiled = CompiledProcedure(procedure)
     levels, per_level, runs = resolve_shape(procedure, plan)
@@ -181,18 +174,9 @@ def simulate_condition(
     delta = condition.shift
     per_run = levels * per_level
 
-    if pool is None:
-        stream = plan.stream
-        if stream is None:
-            raise InvalidArgumentError("plan has no stream and no deviate pool")
-        series = [stream.next_normal() for _ in range(per_run * runs)]
-        pool = DeviatePool(series, stream.substream(_RESTORE_GAP))
-    else:
-        series = pool.series
-        if len(series) < per_run * runs:
-            raise InvalidArgumentError(
-                f"need {per_run * runs} deviates, got {len(series)}"
-            )
+    series = pool.series
+    if len(series) < per_run * runs:
+        raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(series)}")
 
     max_window = compiled.max_window
     evaluate = compiled.evaluate
@@ -226,27 +210,19 @@ def estimate_performance(
     procedure: Procedure,
     plan: SimulationPlan,
     critical: CriticalErrors,
-    pools: Optional[dict] = None,
+    pools: dict,
 ) -> PerformanceEstimate:
-    """(P_re, P_se, P_fr) on three independent substreams of ``plan.stream``.
+    """(P_re, P_se, P_fr) on the condition pools of :func:`draw_condition_pools`.
 
     ``pools`` maps condition keys (``in_control``, ``random``,
-    ``systematic``) to :class:`DeviatePool` instances; when absent,
-    equivalent pools are built from substreams of the plan stream.
+    ``systematic``) to :class:`DeviatePool` instances.
     """
     _, _, runs = resolve_shape(procedure, plan)
-
-    def run(name: str, condition: ErrorCondition) -> float:
-        if pools is not None:
-            return simulate_condition(procedure, plan, condition, pool=pools[name])
-        if plan.stream is None:
-            raise InvalidArgumentError("plan has no stream and no deviate pools")
-        sub_plan = replace(plan, stream=plan.stream.substream(_COND_OFFSETS[name]))
-        return simulate_condition(procedure, sub_plan, condition)
-
-    p_fr = run("in_control", in_control())
-    p_re = run("random", random_error(critical.k_re))
-    p_se = run("systematic", systematic_error(critical.delta_se))
+    p_fr = simulate_condition(procedure, plan, in_control(), pools["in_control"])
+    p_re = simulate_condition(procedure, plan, random_error(critical.k_re), pools["random"])
+    p_se = simulate_condition(
+        procedure, plan, systematic_error(critical.delta_se), pools["systematic"]
+    )
     return PerformanceEstimate(p_re=p_re, p_se=p_se, p_fr=p_fr, runs_simulated=runs)
 
 
@@ -256,9 +232,9 @@ def draw_condition_pools(
     """Deviate pools for all three conditions, sized for two levels.
 
     Procedures needing fewer measurements (one level, truncated runs)
-    consume a prefix, keeping the series paired across procedures.  The
-    pools are identical to what ``estimate_performance`` builds from
-    ``base_stream`` on its own.
+    consume a prefix, keeping the series paired across procedures.
+    Condition ``c`` reads its series from substream ``_COND_OFFSETS[c]`` of
+    ``base_stream`` and its restorations from ``_RESTORE_GAP`` ids further.
     """
     pools = {}
     for name, offset in _COND_OFFSETS.items():

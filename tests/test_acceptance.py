@@ -136,12 +136,10 @@ def test_criterion_4_simulator_oracle_equivalence(sodium_critical):
         limit = round(0.1 * int(picker.next_uniform() * 64), 1)
         procedure = Procedure((Rule(RuleKind.SINGLE_VALUE, 1, limit),), ())
         plan = SimulationPlan(
-            measurements_per_level=plan_runs,
-            levels=2,
-            per_level_per_run=1,
-            stream=new_stream(500_000 + case, 0),
+            measurements_per_level=plan_runs, levels=2, per_level_per_run=1
         )
-        est = estimate_performance(procedure, plan, sodium_critical)
+        pools = draw_condition_pools(new_stream(500_000 + case, 0), plan_runs)
+        est = estimate_performance(procedure, plan, sodium_critical, pools)
         ok = True
         for observed, oracle in [
             (est.p_fr, single_value_power_oracle(limit, 2)),

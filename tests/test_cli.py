@@ -208,3 +208,26 @@ def test_limit_with_two_decimals_is_a_parse_error(capsys):
     code, _, err = _run(capsys, "evaluate", "S(1,2.45)")
     assert code == EXIT_PARSE
     assert "one decimal" in err
+
+
+@pytest.mark.parametrize("text", ["1_" + "9" * 400 + "s", "S(1," + "9" * 400 + ")"])
+def test_limit_overflowing_a_float_is_a_parse_error(capsys, text):
+    code, _, err = _run(capsys, "evaluate", text)
+    assert code == EXIT_PARSE
+    assert "outside the generic-rule bounds" in err
+
+
+def test_deep_parentheses_are_a_parse_error(capsys):
+    code, _, err = _run(capsys, "evaluate", "(" * 3000 + "S(1,2.0)" + ")" * 3000)
+    assert code == EXIT_PARSE
+    assert "nested too deeply" in err
+
+
+@pytest.mark.parametrize("command", ["list-library", "compare"])
+def test_non_utf8_library_file_is_a_parse_error(capsys, tmp_path, command):
+    library = tmp_path / "latin1.txt"
+    library.write_bytes("caf\xe9 = 1_3.0s\n".encode("latin-1"))
+    cfg = _small_config(tmp_path, library_files=[str(library)])
+    code, _, err = _run(capsys, "--config", cfg, command)
+    assert code == EXIT_PARSE
+    assert str(library) in err

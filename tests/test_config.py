@@ -14,7 +14,6 @@ from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 from qcdesign.config import JobConfig, default_config, load_config
 from qcdesign.errors import ConfigError
 from qcdesign.rng import DEFAULT_MODULUS
-from qcdesign.simulator import RUNTIME_FIELDS
 
 
 def _write(tmp_path, payload):
@@ -204,9 +203,7 @@ def _section_keys():
     """Section name -> its config keys, read from the params dataclasses."""
     cfg = default_config()
     return {
-        f.name: [
-            g.name for g in fields(getattr(cfg, f.name)) if g.name not in RUNTIME_FIELDS
-        ]
+        f.name: [g.name for g in fields(getattr(cfg, f.name))]
         for f in fields(cfg)
         if is_dataclass(getattr(cfg, f.name))
     }

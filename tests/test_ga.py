@@ -85,7 +85,7 @@ def test_identical_children_keep_parents(sodium_critical, sodium_plan):
     next_population = crowding_generation(
         population,
         _params(population=4, p_crossover=0.0),
-        lambda genome: next(i for i in population if i.genome == genome),
+        lambda brood: [next(i for i in population if i.genome == g) for g in brood],
         new_stream(12345, 50),
     )
     assert sorted(i.genome.bits for i in next_population) == sorted(
@@ -120,7 +120,7 @@ def test_tiebreak_prefers_fewer_operators():
     next_population = crowding_generation(
         population,
         _params(population=2, p_crossover=0.0, mutation_schedule=((0, 1.0),)),
-        fake_evaluate,
+        lambda brood: [fake_evaluate(genome) for genome in brood],
         new_stream(1, 50),
         generation=0,
         on_replacement=lambda parent, child: replacements.append((parent, child)),

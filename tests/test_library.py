@@ -194,3 +194,23 @@ def test_limits_finer_than_a_tenth_rejected(text):
 
 def test_trailing_zero_limit_accepted():
     assert parse_procedure("S(1,2.50)") == parse_procedure("S(1,2.5)")
+
+
+# Pieces of the notation, plus digit runs long enough to overflow a float
+# (over 308 digits) or int() (over 4300), and deep runs of '('.
+_NOTATION_PIECES = st.one_of(
+    st.sampled_from(["S(", "R(", "M(", "D(", "(", ")", ",", ".", " AND ", " OR ", "1_",
+                     "R_", "s", "/", " ", "NONE", "x"]),
+    st.text("0123456789", min_size=1, max_size=4),
+    st.builds(str.__mul__, st.sampled_from("0159"), st.integers(300, 5000)),
+    st.integers(1, 3000).map(lambda depth: "(" * depth),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_NOTATION_PIECES, max_size=12).map("".join))
+def test_parse_procedure_returns_or_raises_parse_error(text):
+    try:
+        assert isinstance(parse_procedure(text), Procedure)
+    except ProcedureParseError:
+        pass

@@ -7,7 +7,7 @@ import pytest
 from qcdesign.error_model import single_value_power_oracle
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import STREAM_JUMP, new_stream
-from qcdesign.rules import Operator, OperatorKind, Procedure, Rule, RuleKind
+from qcdesign.rules import Procedure, Rule, RuleKind
 from qcdesign.simulator import (
     DeviatePool,
     ErrorCondition,
@@ -23,13 +23,16 @@ from qcdesign.simulator import (
 S_1_24 = Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 2.4),), ())
 
 
-def _plan(stream=None, mpl=1000, levels=2, per_level=1):
+def _plan(mpl=1000, levels=2, per_level=1):
     return SimulationPlan(
-        measurements_per_level=mpl,
-        levels=levels,
-        per_level_per_run=per_level,
-        stream=stream,
+        measurements_per_level=mpl, levels=levels, per_level_per_run=per_level
     )
+
+
+def _stream_pool(seed, count):
+    """``count`` series deviates from stream (seed, 0), restorations from (seed, 4)."""
+    stream = new_stream(seed, 0)
+    return DeviatePool([stream.next_normal() for _ in range(count)], new_stream(seed, 4))
 
 
 def _three_se(p, runs=1000):
@@ -37,27 +40,29 @@ def _three_se(p, runs=1000):
 
 
 def test_empty_procedure_never_rejects(sodium_critical):
-    est = estimate_performance(Procedure(), _plan(new_stream(1, 0)), sodium_critical)
+    pools = draw_condition_pools(new_stream(1, 0), 1000)
+    est = estimate_performance(Procedure(), _plan(), sodium_critical, pools)
     assert (est.p_re, est.p_se, est.p_fr) == (0.0, 0.0, 0.0)
     assert est.runs_simulated == 1000
 
 
 def test_single_value_rule_matches_oracle_in_control():
-    p = simulate_condition(S_1_24, _plan(new_stream(12345, 0)), in_control())
+    p = simulate_condition(S_1_24, _plan(), in_control(), _stream_pool(12345, 2000))
     oracle = single_value_power_oracle(2.4, 2)
     assert abs(p - oracle) <= _three_se(oracle)
 
 
 def test_single_value_rule_matches_oracle_under_shift():
     p = simulate_condition(
-        S_1_24, _plan(new_stream(12345, 0)), systematic_error(3.495)
+        S_1_24, _plan(), systematic_error(3.495), _stream_pool(12345, 2000)
     )
     oracle = single_value_power_oracle(2.4, 2, shift=3.495)
     assert abs(p - oracle) <= _three_se(oracle)
 
 
 def test_estimate_matches_oracle_triple(sodium_critical):
-    est = estimate_performance(S_1_24, _plan(new_stream(12345, 0)), sodium_critical)
+    pools = draw_condition_pools(new_stream(12345, 0), 1000)
+    est = estimate_performance(S_1_24, _plan(), sodium_critical, pools)
     for observed, oracle in [
         (est.p_fr, single_value_power_oracle(2.4, 2)),
         (est.p_re, single_value_power_oracle(2.4, 2, sd_multiplier=sodium_critical.k_re)),
@@ -66,20 +71,13 @@ def test_estimate_matches_oracle_triple(sodium_critical):
         assert abs(observed - oracle) <= _three_se(oracle)
 
 
-def test_stream_and_pool_modes_agree(sodium_critical):
-    proc = Procedure(
-        (Rule(RuleKind.SINGLE_VALUE, 1, 1.9), Rule(RuleKind.MEAN, 2, 1.9)),
-        (Operator(OperatorKind.AND, 0),),
-    )
-    from_stream = estimate_performance(proc, _plan(new_stream(777, 0)), sodium_critical)
-    pools = draw_condition_pools(new_stream(777, 0), 1000)
-    from_pools = estimate_performance(proc, _plan(), sodium_critical, pools=pools)
-    assert from_stream == from_pools
-
-
 def test_determinism(sodium_critical):
-    first = estimate_performance(S_1_24, _plan(new_stream(42, 0)), sodium_critical)
-    second = estimate_performance(S_1_24, _plan(new_stream(42, 0)), sodium_critical)
+    first = estimate_performance(
+        S_1_24, _plan(), sodium_critical, draw_condition_pools(new_stream(42, 0), 1000)
+    )
+    second = estimate_performance(
+        S_1_24, _plan(), sodium_critical, draw_condition_pools(new_stream(42, 0), 1000)
+    )
     assert first == second
 
 
@@ -93,7 +91,7 @@ def test_shared_pool_is_reusable(sodium_critical):
 
 def test_procedure_shape_overrides_plan(sodium_critical):
     single_level = Procedure(S_1_24.rules, (), levels=1)
-    p = simulate_condition(single_level, _plan(new_stream(12345, 0)), in_control())
+    p = simulate_condition(single_level, _plan(), in_control(), _stream_pool(12345, 1000))
     oracle = single_value_power_oracle(2.4, 1)
     assert abs(p - oracle) <= _three_se(oracle)
 
@@ -160,14 +158,10 @@ def test_restore_slice_cannot_overrun_its_stream():
     assert stream.state == new_stream(1, 9).state  # nothing drawn
 
 
-def test_missing_stream_and_budget_errors(sodium_critical):
-    with pytest.raises(InvalidArgumentError):
-        simulate_condition(S_1_24, _plan(), in_control())
-    with pytest.raises(InvalidArgumentError):
-        estimate_performance(S_1_24, _plan(), sodium_critical)
+def test_budget_errors():
     tiny = Procedure(S_1_24.rules, (), per_level=2)
     with pytest.raises(InvalidArgumentError):
-        simulate_condition(tiny, _plan(new_stream(1, 0), mpl=1), in_control())
+        simulate_condition(tiny, _plan(mpl=1), in_control(), _stream_pool(1, 2))
     short_pool = DeviatePool([0.0] * 3, new_stream(1, 9))
     with pytest.raises(InvalidArgumentError):
         simulate_condition(S_1_24, _plan(mpl=10), in_control(), pool=short_pool)
