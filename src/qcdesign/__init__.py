@@ -37,51 +37,3 @@ from .simulator import (
 from .stats import SignTestResult, compare_procedures, sign_test, summarize
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssayParams",
-    "CriticalErrors",
-    "DesignReport",
-    "DeviatePool",
-    "ErrorCondition",
-    "GaParams",
-    "Genome",
-    "GenomeLayout",
-    "Individual",
-    "LibraryEntry",
-    "ObjectiveConfig",
-    "Operator",
-    "OperatorKind",
-    "PerformanceEstimate",
-    "Procedure",
-    "RandomStream",
-    "Rule",
-    "RuleKind",
-    "SignTestResult",
-    "SimulationPlan",
-    "build_expr",
-    "builtin_library",
-    "canonical_notation",
-    "compare_procedures",
-    "comparison_f1",
-    "count_distinct_propositions",
-    "critical_errors",
-    "critical_random_error",
-    "critical_systematic_error",
-    "decode",
-    "draw_condition_pools",
-    "encode",
-    "estimate_performance",
-    "evaluate_rule",
-    "fitness_f",
-    "genome_length",
-    "hamming_distance",
-    "load_library_file",
-    "new_stream",
-    "parse_procedure",
-    "run_design",
-    "sign_test",
-    "simulate_condition",
-    "single_value_power_oracle",
-    "summarize",
-]

@@ -48,31 +48,33 @@ class CriticalErrors:
     k_re: float  # SD multiplier, >= 1
 
 
-def _shift_exceedance(p: AssayParams, delta: float) -> float:
-    """P(|result error| > tea) under a mean shift of delta SD."""
+def _exceedance(p: AssayParams, delta: float = 0.0, k: float = 1.0) -> float:
+    """P(|result error| > tea) under a mean shift of delta SD and the SD
+    inflated by factor k."""
     return (
-        normal_cdf((-p.tea - p.bias - delta * p.sd) / p.sd)
+        normal_cdf((-p.tea - p.bias - delta * p.sd) / (k * p.sd))
         + 1.0
-        - normal_cdf((p.tea - p.bias - delta * p.sd) / p.sd)
+        - normal_cdf((p.tea - p.bias - delta * p.sd) / (k * p.sd))
     )
 
 
-def _inflation_exceedance(p: AssayParams, k: float) -> float:
-    """P(|result error| > tea) when the SD is inflated by factor k."""
-    return (
-        normal_cdf((-p.tea - p.bias) / (k * p.sd))
-        + 1.0
-        - normal_cdf((p.tea - p.bias) / (k * p.sd))
-    )
-
-
-def _bisect(f, lo: float, hi: float) -> float:
-    # f must be negative at lo and positive at hi
+def _critical(p: AssayParams, exceedance, lo: float, hi: float, kind: str) -> float:
+    """The x in [lo, hi] where ``exceedance(x)`` crosses alpha, by bisection;
+    ``lo`` itself when the in-control exceedance already equals alpha."""
+    at_lo = exceedance(lo)
+    if at_lo >= p.alpha:
+        if at_lo - p.alpha < _BISECTION_TOL:
+            return lo
+        raise InfeasibleAssayError(
+            f"in-control exceedance {at_lo:.6g} already exceeds alpha {p.alpha}"
+        )
+    if not math.isfinite(hi) or exceedance(hi) < p.alpha:
+        raise InfeasibleAssayError(f"no critical {kind} error in bracket")
     while hi - lo > _BISECTION_TOL:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # adjacent floats: far from 0 they are wider than the tolerance
             break
-        if f(mid) > 0.0:
+        if exceedance(mid) - p.alpha > 0.0:
             hi = mid
         else:
             lo = mid
@@ -81,32 +83,13 @@ def _bisect(f, lo: float, hi: float) -> float:
 
 def critical_systematic_error(p: AssayParams) -> float:
     """Mean shift (SD units) at which the total-error exceedance equals alpha."""
-    at_zero = _shift_exceedance(p, 0.0)
-    if at_zero >= p.alpha:
-        if at_zero - p.alpha < _BISECTION_TOL:
-            return 0.0
-        raise InfeasibleAssayError(
-            f"in-control exceedance {at_zero:.6g} already exceeds alpha {p.alpha}"
-        )
     hi = (p.tea - p.bias) / p.sd + 10.0
-    if not math.isfinite(hi) or _shift_exceedance(p, hi) < p.alpha:
-        raise InfeasibleAssayError("no critical systematic error in bracket")
-    return _bisect(lambda d: _shift_exceedance(p, d) - p.alpha, 0.0, hi)
+    return _critical(p, lambda d: _exceedance(p, delta=d), 0.0, hi, "systematic")
 
 
 def critical_random_error(p: AssayParams) -> float:
     """SD multiplier (>= 1) at which the total-error exceedance equals alpha."""
-    at_one = _inflation_exceedance(p, 1.0)
-    if at_one >= p.alpha:
-        if at_one - p.alpha < _BISECTION_TOL:
-            return 1.0
-        raise InfeasibleAssayError(
-            f"in-control exceedance {at_one:.6g} already exceeds alpha {p.alpha}"
-        )
-    hi = 100.0
-    if _inflation_exceedance(p, hi) < p.alpha:
-        raise InfeasibleAssayError("no critical random error in bracket")
-    return _bisect(lambda k: _inflation_exceedance(p, k) - p.alpha, 1.0, hi)
+    return _critical(p, lambda k: _exceedance(p, k=k), 1.0, 100.0, "random")
 
 
 def critical_errors(p: AssayParams) -> CriticalErrors:

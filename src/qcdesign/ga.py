@@ -28,8 +28,7 @@ from .simulator import (
     IDS_PER_SIMULATION,
     PerformanceEstimate,
     SimulationPlan,
-    draw_condition_pools,
-    estimate_performance,
+    estimate_task,
     resolve_shape,
     worker_map,
 )
@@ -126,46 +125,35 @@ class Individual:
     operator_count: int
 
 
-# The deviate pools of the last simulation key this process used. A
-# worker keeps them between tasks, so it draws them once per key.
-_last_pools: list = [None, None]
-
-
-def _estimate(task) -> PerformanceEstimate:
-    """Estimate one procedure on the pools of its (seed, stream id, size) key."""
-    procedure, plan, critical, key = task
-    if _last_pools[0] != key:
-        seed, stream_id, size = key
-        _last_pools[:] = [key, draw_condition_pools(new_stream(seed, stream_id), size)]
-    return estimate_performance(procedure, plan, critical, pools=_last_pools[1])
-
-
 class PopulationEvaluator:
-    """Simulates each distinct decoded procedure once; all share one set of
-    deviate pools, drawn from ``sim_stream``'s seed and stream id."""
+    """Simulates each distinct decoded procedure once; all share the deviate
+    pools of stream ``stream_id`` of ``seed``."""
 
     def __init__(
         self,
         plan: SimulationPlan,
         critical: CriticalErrors,
         cfg: ObjectiveConfig,
-        sim_stream: RandomStream,
+        seed: int,
+        stream_id: int,
         map_tasks: Callable = map,
     ):
         self.plan = plan
         self.critical = critical
         self.cfg = cfg
-        self._key = (sim_stream.seed, sim_stream.stream_id, plan.measurements_per_level)
+        self.seed = seed
+        self.stream_id = stream_id
         self._map = map_tasks
         self._cache: dict = {}  # Procedure -> PerformanceEstimate
 
     def evaluate(self, genomes: Sequence[Genome]) -> list:
         """One Individual per genome, simulating the uncached procedures
-        as one batch."""
+        as one batch of one-procedure tasks."""
         procedures = [decode(genome) for genome in genomes]
         missing = list(dict.fromkeys(p for p in procedures if p not in self._cache))
-        tasks = [(p, self.plan, self.critical, self._key) for p in missing]
-        self._cache.update(zip(missing, self._map(_estimate, tasks)))
+        tasks = [([p], self.plan, self.critical, self.seed, self.stream_id) for p in missing]
+        batches = self._map(estimate_task, tasks)
+        self._cache.update(zip(missing, (estimates[0] for estimates in batches)))
         individuals = []
         for genome, procedure in zip(genomes, procedures):
             estimate = self._cache[procedure]
@@ -178,20 +166,6 @@ class PopulationEvaluator:
                 )
             )
         return individuals
-
-
-def evaluate_population(
-    genomes,
-    plan: SimulationPlan,
-    critical: CriticalErrors,
-    cfg: ObjectiveConfig,
-    generation_seed: int,
-):
-    """Evaluate genomes on common random numbers derived from the seed."""
-    evaluator = PopulationEvaluator(
-        plan, critical, cfg, new_stream(generation_seed, _SIM_STREAM_ID)
-    )
-    return evaluator.evaluate(genomes)
 
 
 def _shuffle(items: list, rng: RandomStream) -> None:
@@ -392,12 +366,10 @@ def run_design(
 
         def make_evaluator(generation: int) -> PopulationEvaluator:
             if params.fresh_seeds_per_generation:
-                sim = new_stream(
-                    params.seed, _FRESH_SIM_BASE + IDS_PER_SIMULATION * generation
-                )
+                stream_id = _FRESH_SIM_BASE + IDS_PER_SIMULATION * generation
             else:
-                sim = new_stream(params.seed, _SIM_STREAM_ID)
-            return PopulationEvaluator(plan, critical, cfg, sim, map_tasks)
+                stream_id = _SIM_STREAM_ID
+            return PopulationEvaluator(plan, critical, cfg, params.seed, stream_id, map_tasks)
 
         evaluator = make_evaluator(0)
         genomes = [_random_genome(layout, ops_rng) for _ in range(params.population)]

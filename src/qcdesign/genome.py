@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .rules import Operator, OperatorKind, Procedure, Rule, RuleKind, min_n
+from .rules import MAX_RULES, Operator, OperatorKind, Procedure, Rule, RuleKind, min_n
 
 RULE_BITS = 11
 OP_BITS = 3
@@ -35,8 +35,8 @@ class GenomeLayout:
     fixed_per_level: int = 1
 
     def __post_init__(self):
-        if self.q < 1:
-            raise InvalidArgumentError(f"q must be >= 1, got {self.q}")
+        if not 1 <= self.q <= MAX_RULES:
+            raise InvalidArgumentError(f"q must be in [1, {MAX_RULES}], got {self.q}")
         if self.fixed_levels not in (1, 2):
             raise InvalidArgumentError(
                 f"fixed_levels must be 1 or 2, got {self.fixed_levels}"

@@ -24,6 +24,7 @@ from typing import Optional
 
 from .errors import ProcedureParseError
 from .rules import (
+    MAX_RULES,
     Leaf,
     Node,
     Operator,
@@ -61,7 +62,13 @@ def _looks_westgard(text: str) -> bool:
     return all(_WESTGARD_TERM.match(part.strip()) for part in text.split("/"))
 
 
+def _check_rule_count(count: int) -> None:
+    if count > MAX_RULES:
+        raise ProcedureParseError(f"a procedure holds at most {MAX_RULES} rules, got {count}")
+
+
 def _parse_westgard(stripped: str, original: str) -> Procedure:
+    _check_rule_count(stripped.count("/") + 1)
     rules = []
     for part in stripped.split("/"):
         term = part.strip()
@@ -101,6 +108,7 @@ _TOKEN = re.compile(r"\s*(AND\b|OR\b|[SRMD]\(|\(|\)|$)")
 
 def _parse_canonical(text: str) -> Procedure:
     tokens = _tokenize(text)
+    _check_rule_count(sum(kind == "rule" for kind, _, _ in tokens))
     pos = [0]
 
     def peek():

@@ -25,6 +25,10 @@ from .errors import InvalidArgumentError
 
 LIMIT_MAX = 6.3
 N_MAX = 4
+# Most rules in one procedure (procedure text and layout.q alike). Trees
+# are compiled and rendered recursively, one level per operator of a
+# chain, so this bound keeps them far inside the recursion limit.
+MAX_RULES = 256
 
 
 class RuleKind(Enum):
@@ -199,22 +203,6 @@ def build_expr(procedure: Procedure) -> ExprTree:
 
 def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
     return compile_expr(expr, window_predicate)(window)
-
-
-def flatten(expr: ExprTree):
-    """In-order (rules, operator kinds) of a tree; inverse of grouping."""
-    rules, kinds = [], []
-
-    def walk(e):
-        if isinstance(e, Leaf):
-            rules.append(e.rule)
-        elif isinstance(e, Node):
-            walk(e.left)
-            kinds.append(e.op)
-            walk(e.right)
-
-    walk(expr)
-    return rules, kinds
 
 
 def canonical_notation(procedure: Procedure) -> str:

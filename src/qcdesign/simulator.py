@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
-from .rng import STREAM_JUMP, RandomStream
+from .rng import STREAM_JUMP, RandomStream, new_stream
 from .rules import N_MAX, Procedure, Rule, build_expr, compile_expr, window_predicate
 
 # Substream offsets of a simulation's base stream, one per error
@@ -54,18 +54,6 @@ class ErrorCondition:
             raise InvalidArgumentError(
                 f"sd_multiplier must be >= 1, got {self.sd_multiplier}"
             )
-
-
-def in_control() -> ErrorCondition:
-    return ErrorCondition()
-
-
-def random_error(k: float) -> ErrorCondition:
-    return ErrorCondition(sd_multiplier=k)
-
-
-def systematic_error(delta: float) -> ErrorCondition:
-    return ErrorCondition(shift=delta)
 
 
 @dataclass(frozen=True)
@@ -218,10 +206,12 @@ def estimate_performance(
     ``systematic``) to :class:`DeviatePool` instances.
     """
     _, _, runs = resolve_shape(procedure, plan)
-    p_fr = simulate_condition(procedure, plan, in_control(), pools["in_control"])
-    p_re = simulate_condition(procedure, plan, random_error(critical.k_re), pools["random"])
+    p_fr = simulate_condition(procedure, plan, ErrorCondition(), pools["in_control"])
+    p_re = simulate_condition(
+        procedure, plan, ErrorCondition(sd_multiplier=critical.k_re), pools["random"]
+    )
     p_se = simulate_condition(
-        procedure, plan, systematic_error(critical.delta_se), pools["systematic"]
+        procedure, plan, ErrorCondition(shift=critical.delta_se), pools["systematic"]
     )
     return PerformanceEstimate(p_re=p_re, p_se=p_se, p_fr=p_fr, runs_simulated=runs)
 
@@ -244,12 +234,29 @@ def draw_condition_pools(
     return pools
 
 
+# The deviate pools of the last (seed, stream id, size) key this process
+# used. A worker keeps them between tasks, so it draws them once per key.
+_last_pools: list = [None, None]
+
+
+def estimate_task(task) -> list:
+    """One estimate per procedure of ``(procedures, plan, critical, seed,
+    stream_id)``, all on the condition pools of stream ``stream_id`` of
+    ``seed``, so the procedures are paired on common random numbers."""
+    procedures, plan, critical, seed, stream_id = task
+    key = (seed, stream_id, plan.measurements_per_level)
+    if _last_pools[0] != key:
+        _last_pools[:] = [key, draw_condition_pools(new_stream(seed, stream_id), key[2])]
+    return [estimate_performance(p, plan, critical, _last_pools[1]) for p in procedures]
+
+
 @contextmanager
 def worker_map(threads: int, tasks: int):
     """``map(fn, tasks)`` over min(threads, tasks, cores) processes.
 
-    With one process it is the serial map; otherwise the pool lives until
-    the block ends, so a caller with many batches pays its start-up once.
+    With one process it is the serial map, and the block's end drops the
+    pools :func:`estimate_task` kept; otherwise the pool lives until the
+    block ends, so a caller with many batches pays its start-up once.
     Tasks go out one at a time: their costs differ several-fold, and with
     ``pool.map``'s default chunks of about n/8 tasks one worker can be left
     running a whole chunk while the other waits, by an amount that changes
@@ -258,7 +265,10 @@ def worker_map(threads: int, tasks: int):
     # More workers than tasks or cores would only add start-up cost.
     workers = min(threads, tasks, os.cpu_count() or 1)
     if workers <= 1:
-        yield lambda fn, items: [fn(item) for item in items]
+        try:
+            yield lambda fn, items: [fn(item) for item in items]
+        finally:
+            _last_pools[:] = [None, None]
         return
     import multiprocessing  # only when needed: it slows start-up
 

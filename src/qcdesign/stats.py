@@ -17,15 +17,8 @@ from typing import Optional, Sequence
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .objective import comparison_f1
-from .rng import new_stream
 from .rules import Procedure
-from .simulator import (
-    IDS_PER_SIMULATION,
-    SimulationPlan,
-    draw_condition_pools,
-    estimate_performance,
-    worker_map,
-)
+from .simulator import IDS_PER_SIMULATION, SimulationPlan, estimate_task, worker_map
 
 
 @dataclass(frozen=True)
@@ -84,17 +77,6 @@ class ComparisonResult:
     base_seed: int
 
 
-def _replicate_estimates(args):
-    """Estimates for one replicate across all procedures (paired streams)."""
-    procedures, plan, critical, base_seed, replicate = args
-    base = new_stream(base_seed, replicate * IDS_PER_SIMULATION)
-    pools = draw_condition_pools(base, plan.measurements_per_level)
-    return [
-        estimate_performance(proc, plan, critical, pools=pools)
-        for _, proc in procedures
-    ]
-
-
 def compare_procedures(
     procedures: Sequence[tuple],
     plan_template: SimulationPlan,
@@ -115,12 +97,14 @@ def compare_procedures(
         if not isinstance(proc, Procedure):
             raise InvalidArgumentError(f"entry {name!r} is not a Procedure")
 
+    # One task per replicate, holding every procedure: they share its pools.
+    procs = [proc for _, proc in procedures]
     tasks = [
-        (list(procedures), plan_template, critical, base_seed, r)
+        (procs, plan_template, critical, base_seed, r * IDS_PER_SIMULATION)
         for r in range(replicates)
     ]
     with worker_map(threads, replicates) as map_tasks:
-        per_replicate = map_tasks(_replicate_estimates, tasks)
+        per_replicate = map_tasks(estimate_task, tasks)
 
     rows = []
     for index, (name, _) in enumerate(procedures):

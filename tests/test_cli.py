@@ -7,6 +7,7 @@ import json
 import pytest
 
 from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main
+from qcdesign.rules import MAX_RULES
 
 
 def _run(capsys, *argv):
@@ -221,6 +222,41 @@ def test_deep_parentheses_are_a_parse_error(capsys):
     code, _, err = _run(capsys, "evaluate", "(" * 3000 + "S(1,2.0)" + ")" * 3000)
     assert code == EXIT_PARSE
     assert "nested too deeply" in err
+
+
+def _rule_chain(count, canonical):
+    """``count`` single-value rules: a Westgard OR chain, or a canonical
+    chain whose operators alternate AND, OR."""
+    if not canonical:
+        return "/".join(["1_2.0s"] * count)
+    return "S(1,2.0)" + "".join(f" {('AND', 'OR')[i % 2]} S(1,2.0)" for i in range(count - 1))
+
+
+@pytest.mark.parametrize("canonical", [False, True])
+def test_rule_count_bounded(capsys, tmp_path, canonical):
+    cfg = _small_config(tmp_path, plan={"measurements_per_level": 50})
+    code, _, _ = _run(capsys, "--config", cfg, "evaluate", _rule_chain(MAX_RULES, canonical))
+    assert code == EXIT_OK
+    for count in (MAX_RULES + 1, 3000):
+        code, _, err = _run(capsys, "evaluate", _rule_chain(count, canonical))
+        assert code == EXIT_PARSE
+        assert f"at most {MAX_RULES} rules, got {count}" in err
+
+
+def test_layout_q_bounded_by_rule_count(capsys, tmp_path):
+    for q in (MAX_RULES + 1, 12000):
+        cfg = _small_config(tmp_path, layout={"q": q})
+        code, _, err = _run(capsys, "--config", cfg, "design")
+        assert code == EXIT_CONFIG
+        assert f"q must be in [1, {MAX_RULES}], got {q}" in err
+    cfg = _small_config(
+        tmp_path,
+        layout={"q": MAX_RULES},
+        ga={"population": 2, "generations": 0},
+        plan={"measurements_per_level": 20},
+    )
+    code, _, _ = _run(capsys, "--config", cfg, "design")
+    assert code == EXIT_OK
 
 
 @pytest.mark.parametrize("command", ["list-library", "compare"])

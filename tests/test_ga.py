@@ -6,8 +6,8 @@ from qcdesign.errors import InvalidArgumentError
 from qcdesign.ga import (
     GaParams,
     Individual,
+    PopulationEvaluator,
     crowding_generation,
-    evaluate_population,
     operator_draws,
     run_design,
 )
@@ -65,9 +65,9 @@ def test_single_value_genome_fitness(sodium_critical, sodium_plan):
     genome = encode(
         Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 2.4),), (), levels=2), LAYOUT
     )
-    (individual,) = evaluate_population(
-        [genome], sodium_plan, sodium_critical, ObjectiveConfig(), 12345
-    )
+    (individual,) = PopulationEvaluator(
+        sodium_plan, sodium_critical, ObjectiveConfig(), 12345, 0
+    ).evaluate([genome])
     assert individual.fitness == pytest.approx(0.0375, abs=0.02)
     assert individual.operator_count == 0
 
@@ -77,9 +77,9 @@ def test_identical_children_keep_parents(sodium_critical, sodium_plan):
         encode(Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 2.0 + 0.1 * i),), (), levels=2), LAYOUT)
         for i in range(4)
     ]
-    population = evaluate_population(
-        genomes, sodium_plan, sodium_critical, ObjectiveConfig(), 12345
-    )
+    population = PopulationEvaluator(
+        sodium_plan, sodium_critical, ObjectiveConfig(), 12345, 0
+    ).evaluate(genomes)
     # without crossover or mutation every child equals a parent, so the
     # better-or-fewer-operators rule never replaces anyone
     next_population = crowding_generation(
@@ -136,13 +136,9 @@ def test_tiebreak_prefers_fewer_operators():
 
 
 def test_odd_population_rejected(sodium_critical, sodium_plan):
-    population = evaluate_population(
-        [encode(Procedure(), LAYOUT)] * 3,
-        sodium_plan,
-        sodium_critical,
-        ObjectiveConfig(),
-        1,
-    )
+    population = PopulationEvaluator(
+        sodium_plan, sodium_critical, ObjectiveConfig(), 1, 0
+    ).evaluate([encode(Procedure(), LAYOUT)] * 3)
     with pytest.raises(InvalidArgumentError):
         crowding_generation(population, _params(), lambda g: None, new_stream(1, 50))
 
@@ -216,23 +212,23 @@ def test_report_independent_of_threads(monkeypatch, sodium_assay, fresh):
 
 
 def test_synonym_genomes_share_one_simulation(monkeypatch, sodium_critical, sodium_plan):
-    import qcdesign.ga as ga
+    import qcdesign.simulator as simulator
 
     calls = []
-    real = ga.estimate_performance
+    real = simulator.estimate_performance
 
     def counted(procedure, *args, **kwargs):
         calls.append(procedure)
         return real(procedure, *args, **kwargs)
 
-    monkeypatch.setattr(ga, "estimate_performance", counted)
+    monkeypatch.setattr(simulator, "estimate_performance", counted)
     genome = encode(Procedure((Rule(RuleKind.MEAN, 2, 1.9),), (), levels=2), LAYOUT)
     # Rule slot 2 is disabled (flag bit 11 is 0); its other bits are ignored.
     synonym = Genome(genome.bits[:12] + (1,) * 10 + genome.bits[22:], LAYOUT)
     assert synonym != genome
-    first, second = evaluate_population(
-        [genome, synonym], sodium_plan, sodium_critical, ObjectiveConfig(), 12345
-    )
+    first, second = PopulationEvaluator(
+        sodium_plan, sodium_critical, ObjectiveConfig(), 12345, 0
+    ).evaluate([genome, synonym])
     assert len(calls) == 1
     assert (first.genome, second.genome) == (genome, synonym)
     assert first.fitness == second.fitness and first.estimate == second.estimate

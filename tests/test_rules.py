@@ -18,14 +18,14 @@ from qcdesign.rules import (
     count_distinct_propositions,
     evaluate_expr,
     evaluate_rule,
-    flatten,
     min_n,
 )
+from qcdesign.library import tree_to_procedure
 from qcdesign.simulator import (
     CompiledProcedure,
     DeviatePool,
+    ErrorCondition,
     SimulationPlan,
-    in_control,
     simulate_condition,
 )
 
@@ -113,9 +113,9 @@ def test_priority_binds_tighter():
 def test_flatten_inverts_grouping():
     a, b, c = Rule(S, 1, 1.0), Rule(R, 2, 2.0), Rule(M, 2, 3.0)
     proc = _proc([a, b, c], [Operator(AND, 2), Operator(OR, 1)])
-    rules, kinds = flatten(build_expr(proc))
-    assert rules == [a, b, c]
-    assert kinds == [AND, OR]
+    flat = tree_to_procedure(build_expr(proc))
+    assert list(flat.rules) == [a, b, c]
+    assert [op.kind for op in flat.operators] == [AND, OR]
 
 
 def test_hand_evaluated_combination():
@@ -252,9 +252,9 @@ def test_evaluation_depends_only_on_recent_history(procedure, prefix, tail):
 
 @given(_procedures())
 def test_flatten_roundtrip(procedure):
-    rules, kinds = flatten(build_expr(procedure))
-    assert tuple(rules) == procedure.rules
-    assert kinds == [op.kind for op in procedure.operators]
+    flat = tree_to_procedure(build_expr(procedure))
+    assert flat.rules == procedure.rules
+    assert [op.kind for op in flat.operators] == [op.kind for op in procedure.operators]
 
 
 # ----------------------------------------------------- kernel agreement
@@ -274,7 +274,7 @@ def test_reference_evaluator_agrees_with_simulator(rule, window):
     procedure = Procedure((rule,), (), levels=1, per_level=len(window))
     plan = SimulationPlan(measurements_per_level=len(window))
     pool = DeviatePool(window, new_stream(1, 9))
-    rejected = simulate_condition(procedure, plan, in_control(), pool)
+    rejected = simulate_condition(procedure, plan, ErrorCondition(), pool)
     assert float(evaluate_rule(rule, window)) == rejected
 
 
