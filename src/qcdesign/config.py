@@ -20,10 +20,11 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .error_model import AssayParams
 from .errors import ConfigError, InvalidArgumentError
-from .ga import OPERATOR_DRAW_BUDGET, GaParams, operator_draws
+from .ga import MAX_FRESH_SEED_GENERATIONS, OPERATOR_DRAW_BUDGET, GaParams, operator_draws
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
 from .simulator import SimulationPlan
+from .stats import MAX_REPLICATES
 
 DEFAULT_SEED = 12345
 
@@ -54,12 +55,24 @@ class JobConfig:
             raise ConfigError(
                 f"output_format must be 'csv' or 'doc', got {self.output_format!r}"
             )
-        if self.replicates < 2:
-            raise ConfigError("replicates must be an integer >= 2")
+        # More replicates, or more fresh-seed generations than below, would
+        # simulate on stream ids past rng.MAX_STREAM_ID, which replay stream 0.
+        if not 2 <= self.replicates <= MAX_REPLICATES:
+            raise ConfigError(
+                f"replicates must be an integer in [2, {MAX_REPLICATES}], got {self.replicates}"
+            )
         if self.threads < 1:
             raise ConfigError("threads must be an integer >= 1")
+        for path in (self.output or "", *self.library_files):
+            if "\0" in path:  # open() would raise ValueError
+                raise ConfigError(f"output and library_files paths hold no NUL byte: {path!r}")
         # Fresh-seed simulation streams start where the operator budget ends.
         if self.ga.fresh_seeds_per_generation:
+            if self.ga.generations > MAX_FRESH_SEED_GENERATIONS:
+                raise ConfigError(
+                    f"ga: with fresh_seeds_per_generation at most {MAX_FRESH_SEED_GENERATIONS} "
+                    f"generations fit the random streams, got {self.ga.generations}"
+                )
             draws = operator_draws(self.layout, self.ga)
             if draws > OPERATOR_DRAW_BUDGET:
                 raise ConfigError(
@@ -154,5 +167,7 @@ def load_config(path: Optional[str] = None) -> JobConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
+        if "\0" in str(path):  # open() refuses the path itself
+            raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return _merged(cfg, data, None)

@@ -22,7 +22,7 @@ from .error_model import AssayParams, CriticalErrors, critical_errors
 from .errors import InvalidArgumentError
 from .genome import Genome, GenomeLayout, decode, genome_length, hamming_distance
 from .objective import ObjectiveConfig, comparison_f1, fitness_f
-from .rng import DEFAULT_MODULUS, STREAM_JUMP, RandomStream, new_stream
+from .rng import DEFAULT_MODULUS, MAX_STREAM_ID, STREAM_JUMP, RandomStream, new_stream
 from .rules import canonical_notation
 from .simulator import (
     IDS_PER_SIMULATION,
@@ -44,6 +44,9 @@ _FRESH_SIM_BASE = 100
 # Uniforms the operator stream may draw before it reaches the first
 # fresh-seed simulation stream.
 OPERATOR_DRAW_BUDGET = (_FRESH_SIM_BASE - _OPS_STREAM_ID) * STREAM_JUMP
+# Generations g = 0 .. G of a fresh-seed run whose last simulation reads
+# stream ids up to 100+8G+7 <= rng.MAX_STREAM_ID.
+MAX_FRESH_SEED_GENERATIONS = (MAX_STREAM_ID + 1 - _FRESH_SIM_BASE) // IDS_PER_SIMULATION - 1
 
 # Report keys that differ from the field they come from.
 _REPORT_KEYS = {

@@ -9,8 +9,11 @@ Two grammars are accepted:
   Westgard    term ('/' term)* with terms  n_ks  or  R_ks ; '/' means OR.
               1_ks -> S(1,k), n_ks -> S(n,k), R_ks -> R(2,k).
 
-Westgard counting terms here are the paper's absolute-value generic
-forms, not the classical same-side-of-mean variants; 10_x has no generic
+Canonical text parses straight to the rule/operator sequence, each
+operator's priority counting the right operands on its path from the
+root, so ``rules.build_expr`` reads back the same grouping. Westgard
+counting terms here are the paper's absolute-value generic forms, not
+the classical same-side-of-mean variants; 10_x has no generic
 equivalent and is rejected.
 """
 
@@ -20,19 +23,9 @@ import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .errors import ProcedureParseError
-from .rules import (
-    MAX_RULES,
-    Leaf,
-    Node,
-    Operator,
-    OperatorKind,
-    Procedure,
-    Rule,
-    RuleKind,
-)
+from .rules import MAX_RULES, Operator, OperatorKind, Procedure, Rule, RuleKind
 
 _WESTGARD_TERM = re.compile(r"^(?:(\d+)|R)_(\d+(?:\.\d+)?)s$")
 _KIND_BY_LETTER = {k.value: k for k in RuleKind}
@@ -107,49 +100,46 @@ _TOKEN = re.compile(r"\s*(AND\b|OR\b|[SRMD]\(|\(|\)|$)")
 
 
 def _parse_canonical(text: str) -> Procedure:
+    """A chain's operators take its priority; its first operand keeps it
+    and every later operand binds one tighter."""
     tokens = _tokenize(text)
     _check_rule_count(sum(kind == "rule" for kind, _, _ in tokens))
-    pos = [0]
-
-    def peek():
-        return tokens[pos[0]]
+    rules, operators = [], []
+    pos = 0
 
     def advance():
-        tok = tokens[pos[0]]
-        pos[0] += 1
-        return tok
+        nonlocal pos
+        pos += 1
+        return tokens[pos - 1]
 
-    def parse_term():
-        kind, value, offset = peek()
+    def parse_term(priority):
+        kind, value, offset = advance()
         if kind == "rule":
-            advance()
-            return Leaf(value)
-        if kind == "lparen":
-            advance()
-            expr = parse_expr()
-            kind, _, offset = peek()
+            rules.append(value)
+        elif kind == "lparen":
+            parse_expr(priority)
+            kind, _, offset = advance()
             if kind != "rparen":
                 raise ProcedureParseError("expected ')'", offset)
-            advance()
-            return expr
-        raise ProcedureParseError("expected a rule or '('", offset)
+        else:
+            raise ProcedureParseError("expected a rule or '('", offset)
 
-    def parse_expr():
-        left = parse_term()
-        while peek()[0] == "op":
-            _, op_kind, _ = advance()
-            right = parse_term()
-            left = Node(op_kind, left, right)
-        return left
+    def parse_expr(priority):
+        parse_term(priority)
+        while tokens[pos][0] == "op":
+            operators.append((advance()[1], priority))
+            parse_term(priority + 1)
 
     try:
-        tree = parse_expr()
-        kind, _, offset = peek()
-        if kind != "end":
-            raise ProcedureParseError("unexpected trailing input", offset)
-        return tree_to_procedure(tree)
-    except RecursionError:  # each parenthesis and operator nests a call
+        parse_expr(0)
+    except RecursionError:  # each parenthesis nests a call
         raise ProcedureParseError("expression nested too deeply to parse") from None
+    kind, _, offset = tokens[pos]
+    if kind != "end":
+        raise ProcedureParseError("unexpected trailing input", offset)
+    if any(priority > 3 for _, priority in operators):
+        raise ProcedureParseError("nesting too deep: operator priorities only span 0..3")
+    return Procedure(tuple(rules), tuple(Operator(*op) for op in operators))
 
 
 _RULE_BODY = re.compile(r"\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)")
@@ -187,34 +177,6 @@ def _tokenize(text: str):
             continue
         i = match.end(1)
     return tokens
-
-
-def tree_to_procedure(
-    tree, levels: Optional[int] = None, per_level: Optional[int] = None
-) -> Procedure:
-    """Flatten a tree into a rule/operator sequence whose priorities
-    reproduce the grouping under precedence climbing.
-
-    An operator's priority counts the right branches on its path from the
-    root: a left-associated chain shares one priority, and only an
-    operand grouped on the right binds tighter."""
-    rules, operators = [], []
-
-    def walk(node, priority):
-        if isinstance(node, Leaf):
-            rules.append(node.rule)
-            return
-        if priority > 3:
-            raise ProcedureParseError(
-                "nesting too deep: operator priorities only span 0..3"
-            )
-        walk(node.left, priority)
-        operators.append(Operator(node.op, priority))
-        walk(node.right, priority + 1)
-
-    if tree is not None:
-        walk(tree, 0)
-    return Procedure(tuple(rules), tuple(operators), levels, per_level)
 
 
 def builtin_library() -> list:

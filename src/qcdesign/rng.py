@@ -17,6 +17,9 @@ from .errors import InvalidArgumentError
 DEFAULT_MODULUS = 2147483647  # 2**31 - 1, prime
 DEFAULT_MULTIPLIER = 630360016
 STREAM_JUMP = 100000  # generator steps separating consecutive stream ids
+# Highest stream id whose STREAM_JUMP draws end inside the period; the
+# next id would replay stream 0.
+MAX_STREAM_ID = (DEFAULT_MODULUS - 1) // STREAM_JUMP - 1
 
 # Beasley-Springer-Moro coefficients (central rational part and tail series).
 _BSM_A = (2.50662823884, -18.61500062529, 41.39119773534, -25.44106049637)
@@ -67,8 +70,10 @@ class RandomStream:
             raise InvalidArgumentError(
                 f"seed must be in [1, {DEFAULT_MODULUS - 1}], got {seed}"
             )
-        if stream_id < 0:
-            raise InvalidArgumentError(f"stream_id must be >= 0, got {stream_id}")
+        if not 0 <= stream_id <= MAX_STREAM_ID:
+            raise InvalidArgumentError(
+                f"stream_id must be in [0, {MAX_STREAM_ID}], got {stream_id}"
+            )
         self.seed = seed
         self.stream_id = stream_id
         # Jump-ahead: state after k*STREAM_JUMP steps is A^(k*J) * seed mod m.

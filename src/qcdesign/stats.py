@@ -17,8 +17,12 @@ from typing import Optional, Sequence
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .objective import comparison_f1
+from .rng import MAX_STREAM_ID
 from .rules import Procedure
 from .simulator import IDS_PER_SIMULATION, SimulationPlan, estimate_task, worker_map
+
+# Replicate r simulates on stream ids 8r+1 .. 8r+7 (IDS_PER_SIMULATION = 8).
+MAX_REPLICATES = (MAX_STREAM_ID + 1) // IDS_PER_SIMULATION
 
 
 @dataclass(frozen=True)

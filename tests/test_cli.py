@@ -3,8 +3,11 @@
 import csv
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+from test_library import _NOTATION_PIECES
 
 from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main
 from qcdesign.rules import MAX_RULES
@@ -267,3 +270,77 @@ def test_non_utf8_library_file_is_a_parse_error(capsys, tmp_path, command):
     code, _, err = _run(capsys, "--config", cfg, command)
     assert code == EXIT_PARSE
     assert str(library) in err
+
+
+@pytest.mark.parametrize(
+    "extra, argv",
+    [
+        ({}, ["--out", "a\0b", "critical-errors"]),
+        ({"output": "a\0b"}, ["critical-errors"]),
+        ({"library_files": ["a\0b"]}, ["list-library"]),
+    ],
+    ids=["out-flag", "output-key", "library-files-key"],
+)
+def test_nul_in_a_path_is_a_config_error(capsys, tmp_path, extra, argv):
+    code, _, err = _run(capsys, "--config", _small_config(tmp_path, **extra), *argv)
+    assert code == EXIT_CONFIG
+    assert "NUL byte" in err
+
+
+_COMMANDS = ["design", "evaluate", "compare", "list-library", "critical-errors"]
+_TEXT = st.text(max_size=6) | st.text("ab/.-\0", max_size=6)
+_FLAG_VALUES = {
+    "--seed": st.integers().map(str),
+    "--threads": st.integers(-1, 3).map(str),
+    "--out": _TEXT,
+    "--format": st.sampled_from(["csv", "doc"]),
+}
+
+
+@st.composite
+def _argvs(draw):
+    """Global flags, then a command word and its procedure texts; one draw
+    in ten of each takes any value, an unknown command or the wrong number
+    of texts."""
+
+    def rare():
+        return draw(st.sampled_from(range(10))) == 0
+
+    argv = []
+    for flag in draw(st.lists(st.sampled_from(sorted(_FLAG_VALUES)), max_size=4)):
+        argv += [flag, draw(st.integers().map(str) | _TEXT if rare() else _FLAG_VALUES[flag])]
+    command = draw(st.text(max_size=12) if rare() else st.sampled_from(_COMMANDS))
+    count = {"evaluate": 1, "compare": draw(st.integers(0, 2))}.get(command, 0)
+    if rare():
+        count = draw(st.integers(0, 2))
+    texts = st.lists(_NOTATION_PIECES, max_size=8).map("".join) | st.sampled_from(
+        ["1_2.5s/2_2.0s", "S(1,2.0) OR (M(2,1.9) AND R(4,4.2))", "NONE"]
+    )
+    return argv, [command, *draw(st.lists(texts, min_size=count, max_size=count))]
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_argvs())
+def test_any_argv_exits_cleanly(tmp_path, monkeypatch, argvs):
+    # Reports named by --out land in tmp_path, the config in a directory
+    # of its own.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg").mkdir(exist_ok=True)
+    config = _small_config(
+        tmp_path / "cfg",
+        plan={"measurements_per_level": 12},
+        replicates=2,
+        ga={"population": 2, "generations": 1},
+    )
+    flags, command = argvs
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = main([*flags, "--config", config, *command])
+    except SystemExit as exc:  # argparse: usage errors exit 2, --help 0
+        code = exc.code
+    assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_RUNTIME)
+    if code != EXIT_OK:
+        assert stderr.getvalue().strip()

@@ -80,6 +80,11 @@ def test_malformed_files(tmp_path):
         load_config(str(path))
 
 
+def test_nul_in_the_config_path_cannot_be_read():
+    with pytest.raises(ConfigError, match="cannot read config"):
+        load_config("a\0b")
+
+
 def test_invalid_values_surface_as_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(_write(tmp_path, {"assay": {"sd": -1.0}}))
@@ -188,6 +193,26 @@ def test_fresh_seed_operator_draws_bounded(tmp_path, capsys, generations, code):
     # Common-random-number mode simulates on no stream past id 7.
     ga["fresh_seeds_per_generation"] = False
     assert load_config(_write(tmp_path, {"ga": ga})).ga.generations == generations
+
+
+# Compare's replicate r simulates on stream ids 8r+1 .. 8r+7, and a
+# fresh-seed design's generation g on ids 100+8g+1 .. 100+8g+7; neither
+# may pass rng.MAX_STREAM_ID = 21,473.
+def test_replicates_bounded_by_stream_ids(tmp_path):
+    assert load_config(_write(tmp_path, {"replicates": 2684})).replicates == 2684
+    with pytest.raises(ConfigError, match=r"replicates must be an integer in \[2, 2684\], got 2685"):
+        load_config(_write(tmp_path, {"replicates": 2685}))
+
+
+def test_fresh_seed_generations_bounded_by_stream_ids(tmp_path):
+    ga = {"population": 2, "generations": 2670, "fresh_seeds_per_generation": True}
+    assert load_config(_write(tmp_path, {"ga": ga})).ga.generations == 2670
+    ga["generations"] = 2671
+    with pytest.raises(ConfigError, match="at most 2670 generations .*, got 2671"):
+        load_config(_write(tmp_path, {"ga": ga}))
+    # Common-random-number mode simulates on stream ids 1 .. 7 only.
+    ga["fresh_seeds_per_generation"] = False
+    assert load_config(_write(tmp_path, {"ga": ga})).ga.generations == 2671
 
 
 @pytest.mark.parametrize(

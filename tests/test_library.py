@@ -5,12 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import ProcedureParseError
 from qcdesign.genome import Genome, GenomeLayout, decode, genome_length
-from qcdesign.library import (
-    builtin_library,
-    load_library_file,
-    parse_procedure,
-    tree_to_procedure,
-)
+from qcdesign.library import builtin_library, load_library_file, parse_procedure
 from qcdesign.rules import (
     Leaf,
     Node,
@@ -82,10 +77,8 @@ def test_parse_error_reports_position():
     assert "position 11" in str(excinfo.value)
 
 
-def test_tree_to_procedure_assigns_depth_priorities():
-    a, b, c = Rule(S, 1, 1.0), Rule(S, 1, 2.0), Rule(S, 1, 3.0)
-    tree = Node(OperatorKind.OR, Leaf(a), Node(OperatorKind.AND, Leaf(b), Leaf(c)))
-    proc = tree_to_procedure(tree)
+def test_parse_assigns_depth_priorities():
+    proc = parse_procedure("S(1,1.0) OR (S(1,2.0) AND S(1,3.0))")
     assert [op.priority for op in proc.operators] == [0, 1]
     assert canonical_notation(proc) == "S(1,1.0) OR (S(1,2.0) AND S(1,3.0))"
 
@@ -214,3 +207,43 @@ def test_parse_procedure_returns_or_raises_parse_error(text):
         assert isinstance(parse_procedure(text), Procedure)
     except ProcedureParseError:
         pass
+
+
+@st.composite
+def _rendered_trees(draw):
+    """A tree with at most 3 nested right operands, so that its operators
+    need priorities 0..3, and its text: every right operand that is a node
+    in parentheses, plus redundant ones around random operands. Leaf i is
+    S(1, i/10), so no two leaves are equal."""
+    leaves = iter(range(64))
+
+    def tree(levels, depth):
+        if levels == 0 or depth == 5 or draw(st.integers(0, 3)) == 0:
+            return Leaf(Rule(S, 1, next(leaves) / 10))
+        left = tree(levels, depth + 1)
+        return Node(draw(st.sampled_from(OperatorKind)), left, tree(levels - 1, depth + 1))
+
+    def render(node):
+        if isinstance(node, Leaf):
+            text = str(node.rule)
+        else:
+            right = render(node.right)
+            if isinstance(node.right, Node):
+                right = f"({right})"
+            text = f"{render(node.left)} {node.op.value} {right}"
+        depth = draw(st.sampled_from([0, 0, 0, 1, 2]))
+        return "(" * depth + text + ")" * depth
+
+    root = tree(4, 0)
+    return root, render(root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rendered_trees())
+def test_parse_keeps_the_grouping_of_up_to_four_priorities(case):
+    tree, text = case
+    assert build_expr(parse_procedure(text)) == tree
+    # The same text as a 4th nested right operand needs priority 4.
+    deeper = "S(1,2.0) OR (" * 4 + f"{text} AND S(1,2.0)" + ")" * 4
+    with pytest.raises(ProcedureParseError, match="nesting too deep"):
+        parse_procedure(deeper)

@@ -10,6 +10,7 @@ from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import (
     DEFAULT_MODULUS,
     DEFAULT_MULTIPLIER,
+    MAX_STREAM_ID,
     STREAM_JUMP,
     RandomStream,
     inverse_normal_cdf,
@@ -79,6 +80,20 @@ def test_seed_validation():
         new_stream(DEFAULT_MODULUS)
     with pytest.raises(InvalidArgumentError):
         new_stream(1, -1)
+
+
+def test_stream_ids_stop_before_the_period_wraps():
+    assert MAX_STREAM_ID == 21473
+    # The last stream's STREAM_JUMP draws end inside the period, and two
+    # ids later a stream would start on stream 0's draw 16,354.
+    assert (MAX_STREAM_ID + 1) * STREAM_JUMP <= DEFAULT_MODULUS - 1
+    start = pow(DEFAULT_MULTIPLIER, (MAX_STREAM_ID + 2) * STREAM_JUMP, DEFAULT_MODULUS)
+    assert start == pow(DEFAULT_MULTIPLIER, 16354, DEFAULT_MODULUS)
+    assert new_stream(1, MAX_STREAM_ID).stream_id == MAX_STREAM_ID
+    with pytest.raises(InvalidArgumentError, match="stream_id must be in"):
+        new_stream(1, MAX_STREAM_ID + 1)
+    with pytest.raises(InvalidArgumentError, match="stream_id must be in"):
+        new_stream(1).substream(MAX_STREAM_ID + 1)
 
 
 @given(st.floats(min_value=1e-9, max_value=1.0 - 1e-9))

@@ -20,7 +20,7 @@ from qcdesign.rules import (
     evaluate_rule,
     min_n,
 )
-from qcdesign.library import tree_to_procedure
+from qcdesign.library import parse_procedure
 from qcdesign.simulator import (
     CompiledProcedure,
     DeviatePool,
@@ -113,7 +113,7 @@ def test_priority_binds_tighter():
 def test_flatten_inverts_grouping():
     a, b, c = Rule(S, 1, 1.0), Rule(R, 2, 2.0), Rule(M, 2, 3.0)
     proc = _proc([a, b, c], [Operator(AND, 2), Operator(OR, 1)])
-    flat = tree_to_procedure(build_expr(proc))
+    flat = parse_procedure(canonical_notation(proc))
     assert list(flat.rules) == [a, b, c]
     assert [op.kind for op in flat.operators] == [AND, OR]
 
@@ -252,7 +252,7 @@ def test_evaluation_depends_only_on_recent_history(procedure, prefix, tail):
 
 @given(_procedures())
 def test_flatten_roundtrip(procedure):
-    flat = tree_to_procedure(build_expr(procedure))
+    flat = parse_procedure(canonical_notation(procedure))
     assert flat.rules == procedure.rules
     assert [op.kind for op in flat.operators] == [op.kind for op in procedure.operators]
 
