@@ -9,9 +9,10 @@ Two grammars are accepted:
   Westgard    term ('/' term)* with terms  n_ks  or  R_ks ; '/' means OR.
               1_ks -> S(1,k), n_ks -> S(n,k), R_ks -> R(2,k).
 
-Canonical text parses straight to the rule/operator sequence, each
-operator's priority counting the right operands on its path from the
-root, so ``rules.build_expr`` reads back the same grouping. Westgard
+Canonical text parses in one loop, without recursion, straight to the
+rule/operator sequence, each operator's priority counting the right
+operands on its path from the root, so ``rules.build_expr`` reads back the
+same grouping; at most ``MAX_NESTING`` parentheses nest. Westgard
 counting terms here are the paper's absolute-value generic forms, not
 the classical same-side-of-mean variants; 10_x has no generic
 equivalent and is rejected.
@@ -67,12 +68,8 @@ def _parse_westgard(stripped: str, original: str) -> Procedure:
         term = part.strip()
         match = _WESTGARD_TERM.match(term)
         count, limit = match.groups()
-        position = original.find(term)
-        if count is None:
-            rule = _make_rule(RuleKind.RANGE, "2", limit, term, position)
-        else:
-            rule = _make_rule(RuleKind.SINGLE_VALUE, count, limit, term, position)
-        rules.append(rule)
+        kind = RuleKind.RANGE if count is None else RuleKind.SINGLE_VALUE
+        rules.append(_make_rule(kind, count or "2", limit, term, original.find(term)))
     operators = tuple(Operator(OperatorKind.OR, 0) for _ in rules[1:])
     return Procedure(tuple(rules), operators)
 
@@ -97,44 +94,39 @@ def _make_rule(kind, n: str, limit: str, term, position) -> Rule:
 
 
 _TOKEN = re.compile(r"\s*(AND\b|OR\b|[SRMD]\(|\(|\)|$)")
+MAX_NESTING = 256  # most parentheses open at once in canonical text
 
 
 def _parse_canonical(text: str) -> Procedure:
     """A chain's operators take its priority; its first operand keeps it
-    and every later operand binds one tighter."""
+    and every later operand binds one tighter. ``outer`` holds, for each
+    open '(', the priority of the chain outside it."""
     tokens = _tokenize(text)
     _check_rule_count(sum(kind == "rule" for kind, _, _ in tokens))
-    rules, operators = [], []
-    pos = 0
-
-    def advance():
-        nonlocal pos
-        pos += 1
-        return tokens[pos - 1]
-
-    def parse_term(priority):
-        kind, value, offset = advance()
-        if kind == "rule":
-            rules.append(value)
-        elif kind == "lparen":
-            parse_expr(priority)
-            kind, _, offset = advance()
-            if kind != "rparen":
-                raise ProcedureParseError("expected ')'", offset)
-        else:
+    rules, operators, outer = [], [], []
+    chain = operand = 0
+    tokens = iter(tokens)
+    for kind, value, offset in tokens:  # left only by the break or an error
+        if kind == "(":
+            if len(outer) == MAX_NESTING:
+                raise ProcedureParseError("expression nested too deeply to parse: "
+                                          f"at most {MAX_NESTING} nested parentheses", offset)
+            outer.append(chain)
+            chain = operand
+            continue
+        if kind != "rule":
             raise ProcedureParseError("expected a rule or '('", offset)
-
-    def parse_expr(priority):
-        parse_term(priority)
-        while tokens[pos][0] == "op":
-            operators.append((advance()[1], priority))
-            parse_term(priority + 1)
-
-    try:
-        parse_expr(0)
-    except RecursionError:  # each parenthesis nests a call
-        raise ProcedureParseError("expression nested too deeply to parse") from None
-    kind, _, offset = tokens[pos]
+        rules.append(value)
+        kind, value, offset = next(tokens)
+        while kind == ")" and outer:
+            chain = outer.pop()
+            kind, value, offset = next(tokens)
+        if kind != "op":
+            break
+        operators.append((value, chain))
+        operand = chain + 1
+    if outer:
+        raise ProcedureParseError("expected ')'", offset)
     if kind != "end":
         raise ProcedureParseError("unexpected trailing input", offset)
     if any(priority > 3 for _, priority in operators):
@@ -159,10 +151,8 @@ def _tokenize(text: str):
             break
         if tok in ("AND", "OR"):
             tokens.append(("op", OperatorKind[tok], start))
-        elif tok == "(":
-            tokens.append(("lparen", None, start))
-        elif tok == ")":
-            tokens.append(("rparen", None, start))
+        elif tok in "()":
+            tokens.append((tok, None, start))
         else:  # rule head like "S("
             body = _RULE_BODY.match(text, match.end(1))
             if body is None:

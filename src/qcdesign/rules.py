@@ -127,38 +127,54 @@ class Node:
 ExprTree = Union[Leaf, Node, None]
 
 
-def window_predicate(rule: Rule) -> Callable[[Sequence[float]], bool]:
-    """The one definition of a rule: a closure over a window (newest last).
-
-    It reads only ``w[-n:]``, is False while fewer than ``n`` values exist,
-    and decides M on |sum| > n*x and D on the sample variance > x**2.
+def rule_predicate(rule: Rule) -> Callable[[Sequence[Sequence[float]]], bool]:
+    """The one definition of a rule: a closure over a run's windows (each
+    newest last) that holds when any window triggers the rule. A window is
+    read only at ``w[-n:]`` and triggers nothing while it holds fewer than
+    ``n`` values; M decides on |sum| > n*x, D on the sample variance > x**2.
     """
-    n, limit = rule.n, rule.limit
-    kind = rule.kind
-    if kind is RuleKind.SINGLE_VALUE:
-        if n == 1:
-            return lambda w: bool(w) and abs(w[-1]) > limit
-        return lambda w: len(w) >= n and all(abs(v) > limit for v in w[-n:])
-    if kind is RuleKind.RANGE:
-        return lambda w: len(w) >= n and max(w[-n:]) - min(w[-n:]) > limit
-
-    if kind is RuleKind.MEAN:
-        bound = limit * n
-        return lambda w: len(w) >= n and abs(sum(w[-n:])) > bound
-
-    def std_dev(w):
-        if len(w) < n:
+    kind, n, limit = rule.kind, rule.n, rule.limit
+    sum_bound, variance_bound = limit * n, limit * limit
+    # One window loop per kind, so that no window costs an extra call.
+    if kind is RuleKind.SINGLE_VALUE and n == 1:
+        def holds(windows):
+            for w in windows:
+                if w and abs(w[-1]) > limit:
+                    return True
             return False
-        tail = w[-n:]
-        mean = sum(tail) / n
-        return sum((v - mean) ** 2 for v in tail) / (n - 1) > limit * limit
-
-    return std_dev
+    elif kind is RuleKind.SINGLE_VALUE:
+        def holds(windows):
+            for w in windows:
+                if len(w) >= n and all(abs(v) > limit for v in w[-n:]):
+                    return True
+            return False
+    elif kind is RuleKind.RANGE:
+        def holds(windows):
+            for w in windows:
+                if len(w) >= n and max(w[-n:]) - min(w[-n:]) > limit:
+                    return True
+            return False
+    elif kind is RuleKind.MEAN:
+        def holds(windows):
+            for w in windows:
+                if len(w) >= n and abs(sum(w[-n:])) > sum_bound:
+                    return True
+            return False
+    else:  # STD_DEV
+        def holds(windows):
+            for w in windows:
+                if len(w) >= n:
+                    tail = w[-n:]
+                    mean = sum(tail) / n
+                    if sum((v - mean) ** 2 for v in tail) / (n - 1) > variance_bound:
+                        return True
+            return False
+    return holds
 
 
 def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
     """Apply one rule to the last ``rule.n`` values of ``window``."""
-    return window_predicate(rule)(window)
+    return rule_predicate(rule)((window,))
 
 
 def compile_expr(expr: ExprTree, leaf: Callable[[Rule], Callable]) -> Callable:
@@ -181,28 +197,25 @@ def build_expr(procedure: Procedure) -> ExprTree:
     Higher priority binds tighter; equal priorities associate left to
     right. An empty procedure yields ``None`` (never rejects).
     """
-    rules = procedure.rules
-    ops = procedure.operators
+    rules, ops = procedure.rules, procedure.operators
     if not rules:
         return None
-    pos = [0]
+    pos = 0  # ops[pos] follows rules[pos]
 
     def parse(min_priority: int) -> ExprTree:
-        left: ExprTree = Leaf(rules[pos[0]])
-        pos[0] += 1
-        while pos[0] - 1 < len(ops):
-            op = ops[pos[0] - 1]
-            if op.priority < min_priority:
-                break
-            right = parse(op.priority + 1)
-            left = Node(op.kind, left, right)
+        nonlocal pos
+        left: ExprTree = Leaf(rules[pos])
+        while pos < len(ops) and ops[pos].priority >= min_priority:
+            op = ops[pos]
+            pos += 1
+            left = Node(op.kind, left, parse(op.priority + 1))
         return left
 
     return parse(0)
 
 
 def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
-    return compile_expr(expr, window_predicate)(window)
+    return compile_expr(expr, rule_predicate)((window,))
 
 
 def canonical_notation(procedure: Procedure) -> str:

@@ -5,7 +5,8 @@ rule watches the chronological cross-level history and, in addition, the
 per-level history of every control level: counting rules span the levels
 of a run and consecutive runs of one level, which is how multirules are
 applied in practice.  The procedure is applied once per run, after the
-run's measurements; the run is rejected if any rule window triggers it.
+run's measurements: a rule fires when any of its windows triggers it
+(``rules.rule_predicate``), and the procedure combines the rules' results.
 
 The simulated error persists until detection: after a rejected run the
 process is restored, so the rule windows are reloaded with in-control
@@ -22,7 +23,7 @@ from typing import Sequence
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream, new_stream
-from .rules import N_MAX, Procedure, Rule, build_expr, compile_expr, window_predicate
+from .rules import N_MAX, Procedure, build_expr, compile_expr, rule_predicate
 
 # Substream offsets of a simulation's base stream, one per error
 # condition, plus a fixed gap to each condition's stream of restoration
@@ -113,12 +114,6 @@ class DeviatePool:
         return self._restore[start : start + count]
 
 
-def _rule_predicate(rule: Rule):
-    """A rule triggers if any of its windows (cross-level or per-level) does."""
-    on_window = window_predicate(rule)
-    return lambda windows: any(on_window(w) for w in windows)
-
-
 class CompiledProcedure:
     """Procedure compiled to one predicate over the window set."""
 
@@ -126,7 +121,7 @@ class CompiledProcedure:
 
     def __init__(self, procedure: Procedure):
         self.max_window = max((r.n for r in procedure.rules), default=0)
-        self.evaluate = compile_expr(build_expr(procedure), _rule_predicate)
+        self.evaluate = compile_expr(build_expr(procedure), rule_predicate)
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -169,7 +164,8 @@ def simulate_condition(
     max_window = compiled.max_window
     evaluate = compiled.evaluate
     # The windows only grow: every predicate reads the last n <= max_window
-    # values, and a rejection resets each window to max_window values.
+    # values, and a rejection resets each window to max_window values (at
+    # least one: only a non-empty procedure rejects).
     pooled: list = []
     by_level = [[] for _ in range(levels)]
     windows = (pooled, *by_level)
@@ -186,11 +182,10 @@ def simulate_condition(
                 by_level[level].append(x)
         if evaluate(windows):
             rejected += 1
-            if max_window:
-                values = pool.restore_slice(cursor, restore_per_rejection)
-                cursor += restore_per_rejection
-                for i, window in enumerate(windows):
-                    window[:] = values[max_window * i : max_window * (i + 1)]
+            values = pool.restore_slice(cursor, restore_per_rejection)
+            cursor += restore_per_rejection
+            for i, window in enumerate(windows):
+                window[:] = values[max_window * i : max_window * (i + 1)]
     return rejected / runs
 
 

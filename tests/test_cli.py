@@ -227,6 +227,12 @@ def test_deep_parentheses_are_a_parse_error(capsys):
     assert "nested too deeply" in err
 
 
+def test_parentheses_past_the_nesting_bound_exit_3(capsys):
+    code, _, err = _run(capsys, "evaluate", "(" * 257 + "S(1,2.0)" + ")" * 257)
+    assert code == EXIT_PARSE
+    assert "at most 256 nested parentheses" in err
+
+
 def _rule_chain(count, canonical):
     """``count`` single-value rules: a Westgard OR chain, or a canonical
     chain whose operators alternate AND, OR."""

@@ -1,11 +1,18 @@
 """Notation parsing and the built-in reference library."""
 
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import ProcedureParseError
 from qcdesign.genome import Genome, GenomeLayout, decode, genome_length
-from qcdesign.library import builtin_library, load_library_file, parse_procedure
+from qcdesign.library import (
+    MAX_NESTING,
+    builtin_library,
+    load_library_file,
+    parse_procedure,
+)
 from qcdesign.rules import (
     Leaf,
     Node,
@@ -75,6 +82,42 @@ def test_parse_error_reports_position():
         parse_procedure("S(1,2.7) OR ???")
     assert excinfo.value.position == 11
     assert "position 11" in str(excinfo.value)
+
+
+def _nested(depth):
+    return "(" * depth + "S(1,2.0)" + ")" * depth
+
+
+def _outcome(text):
+    try:
+        return parse_procedure(text)
+    except ProcedureParseError as exc:
+        return str(exc)
+
+
+def _near_the_recursion_limit(fn):
+    """``fn()`` called about 100 frames below ``sys.getrecursionlimit()``."""
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+
+    def down(frames):
+        return fn() if frames <= 0 else down(frames - 1)
+
+    return down(sys.getrecursionlimit() - 100 - depth)
+
+
+def test_nesting_bound_is_256_parentheses():
+    assert parse_procedure(_nested(MAX_NESTING)).rules == (Rule(RuleKind.SINGLE_VALUE, 1, 2.0),)
+    with pytest.raises(ProcedureParseError, match="at most 256 nested parentheses") as excinfo:
+        parse_procedure(_nested(MAX_NESTING + 1))
+    assert excinfo.value.position == MAX_NESTING
+
+
+@pytest.mark.parametrize("depth", [MAX_NESTING, MAX_NESTING + 1])
+def test_nesting_bound_does_not_depend_on_the_caller(depth):
+    text = _nested(depth)
+    assert _near_the_recursion_limit(lambda: _outcome(text)) == _outcome(text)
 
 
 def test_parse_assigns_depth_priorities():

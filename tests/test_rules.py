@@ -19,6 +19,7 @@ from qcdesign.rules import (
     evaluate_expr,
     evaluate_rule,
     min_n,
+    rule_predicate,
 )
 from qcdesign.library import parse_procedure
 from qcdesign.simulator import (
@@ -288,3 +289,8 @@ _grid_windows = st.lists(
 def test_compiled_procedure_agrees_with_reference(procedure, window):
     expected = evaluate_expr(build_expr(procedure), window)
     assert CompiledProcedure(procedure).evaluate((window,)) == expected
+
+
+@given(_rule_strategy, st.lists(_grid_windows, max_size=3))
+def test_rule_holds_when_any_window_does(rule, windows):
+    assert rule_predicate(rule)(windows) == any(evaluate_rule(rule, w) for w in windows)

@@ -109,6 +109,16 @@ def test_mean_rule_spans_runs_of_one_level():
     assert p == 0.5
 
 
+def test_rules_combine_after_each_picks_its_own_window():
+    # Run 2 sees the cross-level window (2.0, 0.0) and the level-1 window
+    # (2.0, 2.0): M fires only on level 1 and R only across levels, so the
+    # AND rejects run 2; applied window by window it would reject nothing.
+    proc = parse_procedure("M(2,1.9) AND R(2,1.9)")
+    pool = DeviatePool([2.0, 0.0, 2.0, 0.0], new_stream(1, 9))
+    p = simulate_condition(proc, _plan(mpl=2), ErrorCondition(), pool=pool)
+    assert p == 0.5
+
+
 def test_range_rule_spans_levels_within_run():
     proc = Procedure((Rule(RuleKind.RANGE, 2, 4.0),), ())
     pool = DeviatePool([2.5, -2.0], new_stream(1, 9))
