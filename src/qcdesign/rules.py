@@ -26,8 +26,8 @@ from .errors import InvalidArgumentError
 LIMIT_MAX = 6.3
 N_MAX = 4
 # Most rules in one procedure (procedure text and layout.q alike). Trees
-# are compiled and rendered recursively, one level per operator of a
-# chain, so this bound keeps them far inside the recursion limit.
+# are rendered recursively, one level per operator of a chain, so this
+# bound keeps rendering far inside the recursion limit.
 MAX_RULES = 256
 
 
@@ -127,68 +127,31 @@ class Node:
 ExprTree = Union[Leaf, Node, None]
 
 
-def rule_predicate(rule: Rule) -> Callable[[Sequence[Sequence[float]]], bool]:
-    """The one definition of a rule: a closure over a run's windows (each
-    newest last) that holds when any window triggers the rule. A window is
-    read only at ``w[-n:]`` and triggers nothing while it holds fewer than
-    ``n`` values; M decides on |sum| > n*x, D on the sample variance > x**2.
-    """
-    kind, n, limit = rule.kind, rule.n, rule.limit
-    sum_bound, variance_bound = limit * n, limit * limit
-    # One window loop per kind, so that no window costs an extra call.
-    if kind is RuleKind.SINGLE_VALUE and n == 1:
-        def holds(windows):
-            for w in windows:
-                if w and abs(w[-1]) > limit:
-                    return True
-            return False
-    elif kind is RuleKind.SINGLE_VALUE:
-        def holds(windows):
-            for w in windows:
-                if len(w) >= n and all(abs(v) > limit for v in w[-n:]):
-                    return True
-            return False
-    elif kind is RuleKind.RANGE:
-        def holds(windows):
-            for w in windows:
-                if len(w) >= n and max(w[-n:]) - min(w[-n:]) > limit:
-                    return True
-            return False
-    elif kind is RuleKind.MEAN:
-        def holds(windows):
-            for w in windows:
-                if len(w) >= n and abs(sum(w[-n:])) > sum_bound:
-                    return True
-            return False
-    else:  # STD_DEV
-        def holds(windows):
-            for w in windows:
-                if len(w) >= n:
-                    tail = w[-n:]
-                    mean = sum(tail) / n
-                    if sum((v - mean) ** 2 for v in tail) / (n - 1) > variance_bound:
-                        return True
-            return False
-    return holds
+# The one definition of a rule: per kind, its test with limit x on the
+# source expressions v of a window's last n values, oldest first. M and D
+# add left to right as sum() does, less its leading int 0, which could
+# change only the sign of a zero sum; abs and squaring drop that sign.
+RULE_SOURCE = {
+    RuleKind.SINGLE_VALUE: lambda v, x: " and ".join(f"abs({a}) > {x!r}" for a in v),
+    RuleKind.RANGE: lambda v, x: f"max({', '.join(v)}) - min({', '.join(v)}) > {x!r}",
+    RuleKind.MEAN: lambda v, x: f"abs({' + '.join(v)}) > {x * len(v)!r}",
+    RuleKind.STD_DEV: lambda v, x: (
+        f"(({v[0]} - (m := ({' + '.join(v)}) / {len(v)})) ** 2"
+        + "".join(f" + ({a} - m) ** 2" for a in v[1:]) + f") / {len(v) - 1} > {x * x!r}"
+    ),
+}
+
+
+def define(name: str, params: str, body: Sequence[str]) -> Callable:
+    """Compile ``def name(params):`` with the given (indented) body lines."""
+    namespace: dict = {}
+    exec("\n".join([f"def {name}({params}):", *body]), namespace)
+    return namespace[name]
 
 
 def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
     """Apply one rule to the last ``rule.n`` values of ``window``."""
-    return rule_predicate(rule)((window,))
-
-
-def compile_expr(expr: ExprTree, leaf: Callable[[Rule], Callable]) -> Callable:
-    """The one walk from a tree to a predicate, ``leaf(rule)`` giving each
-    rule's; AND and OR short-circuit, and the empty tree never holds."""
-    if expr is None:
-        return lambda arg: False
-    if isinstance(expr, Leaf):
-        return leaf(expr.rule)
-    left = compile_expr(expr.left, leaf)
-    right = compile_expr(expr.right, leaf)
-    if expr.op is OperatorKind.AND:
-        return lambda arg: left(arg) and right(arg)
-    return lambda arg: left(arg) or right(arg)
+    return evaluate_expr(Leaf(rule), window)
 
 
 def build_expr(procedure: Procedure) -> ExprTree:
@@ -214,8 +177,32 @@ def build_expr(procedure: Procedure) -> ExprTree:
     return parse(0)
 
 
+def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> list:
+    """Lines that set ``t`` to the truth of ``expr``, ``leaf(rule)`` giving
+    each rule's test; AND and OR short-circuit, the empty tree is false. A
+    chain is a run of statements, and only an operand that is a chain opens
+    a block: trees from :func:`build_expr` nest one block per priority."""
+    if expr is None:
+        return [f"{indent}t = False"]
+    spine = []
+    while isinstance(expr, Node):
+        spine.append(expr)
+        expr = expr.left
+    lines = [f"{indent}t = {leaf(expr.rule)}"]
+    for node in reversed(spine):
+        lines.append(f"{indent}if {'' if node.op is OperatorKind.AND else 'not '}t:")
+        lines += boolean_source(node.right, leaf, indent + "    ")
+    return lines
+
+
 def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
-    return compile_expr(expr, rule_predicate)((window,))
+    """Apply a tree to one window (newest last); a rule needs n values in it."""
+
+    def leaf(rule: Rule) -> str:
+        values = [f"w[{-i}]" for i in range(rule.n, 0, -1)]
+        return f"len(w) >= {rule.n} and {RULE_SOURCE[rule.kind](values, rule.limit)}"
+
+    return define("holds", "w", [*boolean_source(expr, leaf, "    "), "    return t"])(window)
 
 
 def canonical_notation(procedure: Procedure) -> str:
@@ -256,29 +243,19 @@ def count_distinct_propositions(max_rules: int) -> int:
     seen = set()
     op_space = list(product(OperatorKind, range(4)))
     for count in range(1, max_rules + 1):
-        for atoms in product(range(4), repeat=count):
-            for op_choice in product(op_space, repeat=count - 1):
-                seen.add(_truth_table(atoms, op_choice))
+        # Placeholder rule i stands for the atom in position i, so one
+        # compiled function per operator choice serves every choice of
+        # atoms. In row r, an atom of class c has the value of bit c of r.
+        slots = tuple(Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * i) for i in range(count))
+        tables = [
+            [[row >> c & 1 for c in atoms] for row in range(16)]
+            for atoms in product(range(4), repeat=count)
+        ]
+        for op_choice in product(op_space, repeat=count - 1):
+            ops = tuple(Operator(kind, prio) for kind, prio in op_choice)
+            expr = build_expr(Procedure(slots, ops))
+            body = boolean_source(expr, lambda rule: f"a[{slots.index(rule)}]", "    ")
+            holds = define("holds", "a", [*body, "    return t"])
+            for table in tables:
+                seen.add(sum(1 << row for row, values in enumerate(table) if holds(values)))
     return len(seen)
-
-
-# One placeholder rule per rule class; truth-table atom i is the rule of
-# the i-th class.
-_ATOM_RULES = tuple(Rule(kind, N_MAX, 0.0) for kind in RuleKind)
-_ATOM_BIT = {kind: i for i, kind in enumerate(RuleKind)}
-
-
-def _truth_table(atoms, op_choice) -> int:
-    """16-row truth table (bitmask) of an atom/operator sequence."""
-    procedure = Procedure(
-        tuple(_ATOM_RULES[a] for a in atoms),
-        tuple(Operator(kind, prio) for kind, prio in op_choice),
-    )
-    holds = compile_expr(build_expr(procedure), _atom_bit)
-    return sum(1 << row for row in range(16) if holds(row))
-
-
-def _atom_bit(rule: Rule):
-    """Leaf predicate: in truth-table row r, atom i has the value of bit i."""
-    bit = _ATOM_BIT[rule.kind]
-    return lambda row: bool((row >> bit) & 1)

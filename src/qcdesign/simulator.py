@@ -5,12 +5,16 @@ rule watches the chronological cross-level history and, in addition, the
 per-level history of every control level: counting rules span the levels
 of a run and consecutive runs of one level, which is how multirules are
 applied in practice.  The procedure is applied once per run, after the
-run's measurements: a rule fires when any of its windows triggers it
-(``rules.rule_predicate``), and the procedure combines the rules' results.
+run's measurements: a rule fires when any of its windows triggers it, and
+the procedure combines the rules' results.
 
 The simulated error persists until detection: after a rejected run the
 process is restored, so the rule windows are reloaded with in-control
 values before the error is reintroduced in the next run.
+
+Each procedure's run loop is generated as Python source for its QC shape
+(:class:`CompiledProcedure`): the windows are locals, shifted once per
+run, and each rule's test is its ``rules.RULE_SOURCE`` template on them.
 """
 
 from __future__ import annotations
@@ -18,12 +22,13 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream, new_stream
-from .rules import N_MAX, Procedure, build_expr, compile_expr, rule_predicate
+from .rules import N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, build_expr, define
 
 # Substream offsets of a simulation's base stream, one per error
 # condition, plus a fixed gap to each condition's stream of restoration
@@ -115,13 +120,56 @@ class DeviatePool:
 
 
 class CompiledProcedure:
-    """Procedure compiled to one predicate over the window set."""
+    """A procedure's run loop for one QC shape, generated and compiled:
+    ``run(series, k, delta, runs, restore_slice)`` counts the rejected runs
+    of measurements ``series[i] * k + delta``, each rejection reloading the
+    windows, oldest first, from the next ``restore_slice`` values."""
 
-    __slots__ = ("evaluate", "max_window")
+    __slots__ = ("run",)
 
-    def __init__(self, procedure: Procedure):
-        self.max_window = max((r.n for r in procedure.rules), default=0)
-        self.evaluate = compile_expr(build_expr(procedure), rule_predicate)
+    def __init__(self, procedure: Procedure, levels: int, per_level: int):
+        width = max((r.n for r in procedure.rules), default=1)
+        xs = [f"x{j}" for j in range(levels * per_level)]
+        # Window 0 is the cross-level history and window 1 + L level L's,
+        # each taking its values of a run in order; local w{i}_{j} is window
+        # i's j-th newest value. After f runs (until a rejection fills it)
+        # window i holds f * len(arrivals[i]) values. The empty procedure
+        # keeps one value per window and never rejects.
+        arrivals = [xs] + [xs[level::levels] for level in range(levels)]
+        slots = [[f"w{i}_{j}" for j in range(1, width + 1)] for i in range(1 + levels)]
+
+        def leaf(rule: Rule) -> str:
+            # Window i holds n values after ceil(n / len(arrivals[i])) runs.
+            return " or ".join(
+                ("" if rule.n <= len(new) else f"f >= {-(-rule.n // len(new))} and ")
+                + RULE_SOURCE[rule.kind](names[rule.n - 1 :: -1], rule.limit)
+                for new, names in zip(arrivals, slots)
+            )
+
+        restore = width * (1 + levels)
+        self.run = define("run", "series, k, delta, runs, restore_slice", [
+            "    rejected = f = 0",
+            f"    {' = '.join(name for names in slots for name in names)} = 0.0",
+            f"    it = iter([v * k + delta for v in series[:runs * {len(xs)}]])",
+            f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
+            "        f += 1",
+            *(f"        {', '.join(names)} = {', '.join((new[::-1] + names)[:width])}"
+              for new, names in zip(arrivals, slots)),
+            *boolean_source(build_expr(procedure), leaf, "        "),
+            "        if t:",
+            f"            {', '.join(n for names in slots for n in names[::-1])}"
+            f" = restore_slice(rejected * {restore}, {restore})",
+            "            rejected += 1",
+            f"            f = {width}",
+            "    return rejected",
+        ])
+
+
+# Generated run loops of this process, by (procedure, levels, per_level).
+# The bound keeps a long design's memory flat; compare cycles through
+# fewer procedures than this on every replicate.
+COMPILED_PROCEDURES = 64
+compiled_procedure = lru_cache(maxsize=COMPILED_PROCEDURES)(CompiledProcedure)
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -145,47 +193,18 @@ def simulate_condition(
     ``pool`` supplies the raw deviates; procedures that share it are
     simulated on common random numbers.
     """
-    compiled = CompiledProcedure(procedure)
     levels, per_level, runs = resolve_shape(procedure, plan)
     if runs < 1:
         raise InvalidArgumentError(
             f"per-level budget {plan.measurements_per_level} yields zero runs "
             f"of {per_level} measurements per level"
         )
-
-    k = condition.sd_multiplier
-    delta = condition.shift
     per_run = levels * per_level
-
     series = pool.series
     if len(series) < per_run * runs:
         raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(series)}")
-
-    max_window = compiled.max_window
-    evaluate = compiled.evaluate
-    # The windows only grow: every predicate reads the last n <= max_window
-    # values, and a rejection resets each window to max_window values (at
-    # least one: only a non-empty procedure rejects).
-    pooled: list = []
-    by_level = [[] for _ in range(levels)]
-    windows = (pooled, *by_level)
-    restore_per_rejection = max_window * (1 + levels)
-    rejected = 0
-    cursor = 0
-    idx = 0
-    for _ in range(runs):
-        for _ in range(per_level):
-            for level in range(levels):
-                x = series[idx] * k + delta
-                idx += 1
-                pooled.append(x)
-                by_level[level].append(x)
-        if evaluate(windows):
-            rejected += 1
-            values = pool.restore_slice(cursor, restore_per_rejection)
-            cursor += restore_per_rejection
-            for i, window in enumerate(windows):
-                window[:] = values[max_window * i : max_window * (i + 1)]
+    run = compiled_procedure(procedure, levels, per_level).run
+    rejected = run(series, condition.sd_multiplier, condition.shift, runs, pool.restore_slice)
     return rejected / runs
 
 

@@ -19,7 +19,6 @@ from qcdesign.rules import (
     evaluate_expr,
     evaluate_rule,
     min_n,
-    rule_predicate,
 )
 from qcdesign.library import parse_procedure
 from qcdesign.simulator import (
@@ -193,6 +192,11 @@ def test_count_three_atom_propositions_frozen():
     assert count_distinct_propositions(3) == 48
 
 
+def test_count_four_atom_propositions_frozen():
+    # frozen from an enumeration that compiled every procedure on its own
+    assert count_distinct_propositions(4) == 100
+
+
 def test_count_validation():
     with pytest.raises(InvalidArgumentError):
         count_distinct_propositions(0)
@@ -285,12 +289,31 @@ _grid_windows = st.lists(
 )
 
 
-@given(_procedures(), _grid_windows)
+def _run_once(procedure, levels, values):
+    """Reject count of one run whose measurements are ``values``, level by
+    level in turn, through the procedure's generated run loop."""
+    compiled = CompiledProcedure(procedure, levels, len(values) // levels)
+    return compiled.run(values, 1.0, 0.0, 1, DeviatePool(values, new_stream(1, 9)).restore_slice)
+
+
+# A run holds at least one measurement, so these windows are not empty.
+@given(_procedures(), _grid_windows.filter(len))
 def test_compiled_procedure_agrees_with_reference(procedure, window):
     expected = evaluate_expr(build_expr(procedure), window)
-    assert CompiledProcedure(procedure).evaluate((window,)) == expected
+    assert _run_once(procedure, 1, window) == expected
 
 
-@given(_rule_strategy, st.lists(_grid_windows, max_size=3))
-def test_rule_holds_when_any_window_does(rule, windows):
-    assert rule_predicate(rule)(windows) == any(evaluate_rule(rule, w) for w in windows)
+@given(
+    _rule_strategy,
+    st.sampled_from([1, 2]).flatmap(
+        lambda levels: st.tuples(
+            st.just(levels), _grid_windows.filter(lambda w: w and len(w) % levels == 0)
+        )
+    ),
+)
+def test_rule_holds_when_any_window_does(rule, shape):
+    """One run's windows: the cross-level one and one per level."""
+    levels, values = shape
+    windows = [values] + [values[level::levels] for level in range(levels)]
+    expected = any(evaluate_rule(rule, w) for w in windows)
+    assert _run_once(Procedure((rule,)), levels, values) == expected

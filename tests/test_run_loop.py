@@ -1,0 +1,163 @@
+"""Generated run loops against the closure-based loop they replaced
+(``closure_oracle``): the same reject counts from the same restoration
+draws, for random procedures and for the worst shapes of 256 rules."""
+
+import sys
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import qcdesign.simulator as simulator
+from closure_oracle import simulate as oracle_simulate
+from qcdesign.rng import new_stream
+from qcdesign.rules import (
+    LIMIT_MAX,
+    MAX_RULES,
+    Operator,
+    OperatorKind,
+    Procedure,
+    Rule,
+    RuleKind,
+    boolean_source,
+    build_expr,
+    min_n,
+)
+from qcdesign.simulator import DeviatePool, ErrorCondition, SimulationPlan, simulate_condition
+
+AND, OR = OperatorKind.AND, OperatorKind.OR
+# The sodium assay's critical errors (conftest), one condition each.
+CONDITIONS = (
+    ErrorCondition(),
+    ErrorCondition(sd_multiplier=2.312959384173155),
+    ErrorCondition(shift=3.494547721165329),
+)
+
+
+class RecordingPool(DeviatePool):
+    """A pool that records every restoration request."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self, series, restore_stream):
+        super().__init__(series, restore_stream)
+        self.calls = []
+
+    def restore_slice(self, start, count):
+        self.calls.append((start, count))
+        return super().restore_slice(start, count)
+
+
+def _normals(seed, count):
+    stream = new_stream(seed, 0)
+    return [stream.next_normal() for _ in range(count)]
+
+
+def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series):
+    """simulate_condition and the oracle agree on the reject count and on
+    every restoration request, each on its own copy of the same pool."""
+    shaped = Procedure(procedure.rules, procedure.operators, levels, per_level)
+    plan = SimulationPlan(measurements_per_level=runs * per_level)
+    product, oracle = (RecordingPool(series, new_stream(1, 4)) for _ in range(2))
+    fraction = simulate_condition(shaped, plan, condition, product)
+    rejected = oracle_simulate(
+        procedure, levels, per_level, oracle.series,
+        condition.sd_multiplier, condition.shift, runs, oracle.restore_slice,
+    )
+    assert fraction == rejected / runs
+    assert product.calls == oracle.calls
+
+
+_limits = st.one_of(
+    st.sampled_from([0.0, LIMIT_MAX]),
+    st.integers(0, 63).map(lambda tenth: round(0.1 * tenth, 1)),
+)
+_rules = st.sampled_from(list(RuleKind)).flatmap(
+    lambda kind: st.builds(Rule, st.just(kind), st.integers(min_n(kind), 4), _limits)
+)
+_operators = st.builds(Operator, st.sampled_from([AND, OR]), st.integers(0, 3))
+
+
+@st.composite
+def _procedures(draw):
+    rules = draw(st.lists(_rules, max_size=6))
+    return Procedure(tuple(rules), tuple(draw(_operators) for _ in rules[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@example(Procedure(), 2, 1, 1, CONDITIONS[2], 1)  # the empty procedure, one run
+@example(Procedure((Rule(RuleKind.RANGE, 4, 0.0),)), 1, 4, 1, CONDITIONS[1], 1)
+@given(
+    _procedures(),
+    st.sampled_from([1, 2]),
+    st.integers(1, 4),
+    st.one_of(st.just(1), st.integers(1, 60)),
+    st.sampled_from(CONDITIONS),
+    st.integers(1, 2**31 - 2),
+)
+def test_generated_loop_matches_closure_loop(procedure, levels, per_level, runs, condition, seed):
+    series = _normals(seed, levels * per_level * runs)
+    _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 12),
+    reason="sum() of floats is compensated from 3.12 on, so there the oracle's "
+    "M and D arithmetic differs from left-to-right addition on exact boundaries",
+)
+@settings(max_examples=300, deadline=None)
+@given(_procedures(), st.sampled_from([1, 2]), st.integers(1, 4), st.integers(1, 20), st.data())
+def test_generated_loop_matches_closure_loop_on_the_limit_grid(
+    procedure, levels, per_level, runs, data
+):
+    """Measurements on the limits' 0.1 grid land exactly on rule boundaries."""
+    grid = st.integers(-63, 63).map(lambda tenth: round(0.1 * tenth, 1))
+    count = levels * per_level * runs
+    series = data.draw(st.lists(grid, min_size=count, max_size=count))
+    _assert_matches_oracle(procedure, levels, per_level, runs, ErrorCondition(), series)
+
+
+def _worst_shapes():
+    """256-rule procedures whose trees are deepest: equal priorities with
+    alternating AND/OR, priorities rising 0..3 over and over, all OR."""
+    kinds = list(RuleKind)
+    rules = tuple(
+        Rule(kinds[i % 4], min_n(kinds[i % 4]) + i % 3, (2.0, 3.5, 1.2, 0.4)[i % 4] + 0.1 * (i % 7))
+        for i in range(MAX_RULES)
+    )
+    shapes = {
+        "alternating": [Operator((AND, OR)[i % 2], 0) for i in range(MAX_RULES - 1)],
+        "rising": [Operator((AND, OR)[i % 2], i % 4) for i in range(MAX_RULES - 1)],
+        "all_or": [Operator(OR, 0)] * (MAX_RULES - 1),
+    }
+    return {name: Procedure(rules, tuple(ops)) for name, ops in shapes.items()}
+
+
+@pytest.mark.parametrize("name", ["alternating", "rising", "all_or"])
+@pytest.mark.parametrize("condition", CONDITIONS)
+def test_worst_shapes_simulate_and_match(name, condition):
+    procedure = _worst_shapes()[name]
+    _assert_matches_oracle(procedure, 2, 1, 150, condition, _normals(12345, 300))
+
+
+@pytest.mark.parametrize("name", ["alternating", "rising", "all_or"])
+def test_generated_blocks_nest_at_most_one_per_priority(name):
+    lines = boolean_source(build_expr(_worst_shapes()[name]), lambda rule: "True", "")
+    assert max(len(line) - len(line.lstrip()) for line in lines) <= 4 * 4
+
+
+def test_compiled_loop_cache_is_bounded():
+    compiled = simulator.compiled_procedure
+    compiled.cache_clear()
+    plan = SimulationPlan(measurements_per_level=8, levels=1)
+    pool = DeviatePool(_normals(7, 8), new_stream(7, 4))
+    bound = simulator.COMPILED_PROCEDURES
+    for i in range(2 * bound):  # 2 * bound distinct procedures
+        high, low = divmod(i, 63)
+        rules = (Rule(RuleKind.MEAN, 2, 0.1 * low), Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * high))
+        procedure = Procedure(rules, (Operator(OR),))
+        for condition in CONDITIONS:  # an estimate compiles once for its three conditions
+            simulate_condition(procedure, plan, condition, pool)
+        assert compiled.cache_info().currsize <= bound
+    info = compiled.cache_info()
+    assert info.currsize == bound
+    assert (info.misses, info.hits) == (2 * bound, 4 * bound)
