@@ -5,7 +5,10 @@ with disjoint substreams obtained by jumping the generator ahead a fixed
 number of steps per stream id.  Normal deviates come from the
 Beasley-Springer-Moro rational approximation of the inverse normal CDF,
 so exactly one uniform is consumed per normal and every sequence is
-bit-reproducible across platforms.
+bit-reproducible across platforms.  :meth:`RandomStream.normals` draws a
+batch in one loop on locals; :meth:`RandomStream.next_normal` and
+:func:`inverse_normal_cdf` are the scalar reference it reproduces bit
+for bit.
 """
 
 from __future__ import annotations
@@ -88,6 +91,37 @@ class RandomStream:
     def next_normal(self) -> float:
         """Next standard normal deviate; consumes exactly one uniform."""
         return inverse_normal_cdf(self.next_uniform())
+
+    def normals(self, count: int) -> list:
+        """The next ``count`` normal deviates: the same floats, and the same
+        final state, as ``count`` calls of :meth:`next_normal`, whose
+        operations it repeats in order with the coefficients in locals."""
+        a0, a1, a2, a3 = _BSM_A
+        b0, b1, b2, b3 = _BSM_B
+        c0, *tail = _BSM_C
+        multiplier, modulus, log = DEFAULT_MULTIPLIER, DEFAULT_MODULUS, math.log
+        state = self.state
+        out = []
+        append = out.append
+        for _ in range(count):
+            state = multiplier * state % modulus
+            u = state / modulus
+            y = u - 0.5
+            if -0.42 < y < 0.42:
+                r = y * y
+                append(
+                    y * (((a3 * r + a2) * r + a1) * r + a0)
+                    / ((((b3 * r + b2) * r + b1) * r + b0) * r + 1.0)
+                )
+                continue
+            s = log(-log(u if u < 0.5 else 1.0 - u))
+            x, t = c0, 1.0
+            for c in tail:
+                t *= s
+                x += c * t
+            append(-x if u < 0.5 else x)
+        self.state = state
+        return out
 
     def substream(self, offset: int) -> "RandomStream":
         """Fresh stream ``offset`` ids past this one (same seed)."""

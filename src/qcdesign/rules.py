@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
 from .errors import InvalidArgumentError
@@ -128,12 +128,20 @@ ExprTree = Union[Leaf, Node, None]
 
 
 # The one definition of a rule: per kind, its test with limit x on the
-# source expressions v of a window's last n values, oldest first. M and D
-# add left to right as sum() does, less its leading int 0, which could
-# change only the sign of a zero sum; abs and squaring drop that sign.
+# source expressions v of a window's last n values, oldest first. R tests
+# every pair: IEEE subtraction rounds monotonically and symmetrically, so
+# fl(max - min) > x exactly when some |fl(a - b)| > x, and abs costs a
+# fraction of max and min. Its ``or`` chain is parenthesised because
+# callers put a guard and ``and`` in front of a test. M and D add left to
+# right as sum() does, less its leading int 0, which could change only the
+# sign of a zero sum; abs and squaring drop that sign. D's ``** 2`` must
+# stay: x ** 2 and x * x differ in the last bit for some doubles (for
+# example 1.4658814763242407), so ``d * d`` would change reports.
 RULE_SOURCE = {
     RuleKind.SINGLE_VALUE: lambda v, x: " and ".join(f"abs({a}) > {x!r}" for a in v),
-    RuleKind.RANGE: lambda v, x: f"max({', '.join(v)}) - min({', '.join(v)}) > {x!r}",
+    RuleKind.RANGE: lambda v, x: (
+        f"({' or '.join(f'abs({a} - {b}) > {x!r}' for a, b in combinations(v, 2))})"
+    ),
     RuleKind.MEAN: lambda v, x: f"abs({' + '.join(v)}) > {x * len(v)!r}",
     RuleKind.STD_DEV: lambda v, x: (
         f"(({v[0]} - (m := ({' + '.join(v)}) / {len(v)})) ** 2"

@@ -15,6 +15,9 @@ values before the error is reintroduced in the next run.
 Each procedure's run loop is generated as Python source for its QC shape
 (:class:`CompiledProcedure`): the windows are locals, shifted once per
 run, and each rule's test is its ``rules.RULE_SOURCE`` template on them.
+A rejection reloads the windows straight from the pool's list of
+restoration deviates, which the pool extends only when a loop reads past
+its end; every deviate comes from ``RandomStream.normals`` batches.
 """
 
 from __future__ import annotations
@@ -93,37 +96,38 @@ class PerformanceEstimate:
 class DeviatePool:
     """Raw N(0,1) deviates for one condition.
 
-    ``series`` holds the measurement deviates; restoration deviates are
-    drawn lazily from a dedicated stream.  Sharing one pool across
+    ``series`` holds the measurement deviates; ``restore`` holds the
+    restoration deviates drawn so far from a dedicated stream, and
+    :meth:`more` draws the rest on demand.  Sharing one pool across
     procedures pairs their simulations (common random numbers): every
     procedure reads the same series and a prefix of the same restoration
     sequence.
     """
 
-    __slots__ = ("series", "_restore", "_restore_stream")
+    __slots__ = ("series", "restore", "_restore_stream")
 
     def __init__(self, series: Sequence[float], restore_stream: RandomStream):
         self.series = list(series)
-        self._restore: list = []
+        self.restore: list = []
         self._restore_stream = restore_stream
 
-    def restore_slice(self, start: int, count: int) -> list:
-        if start + count > STREAM_JUMP:
+    def more(self, end: int) -> None:
+        """Extend ``restore`` in place to at least ``end`` deviates."""
+        if end > STREAM_JUMP:
             raise InvalidArgumentError(
-                f"restoration needs {start + count} deviates; a stream holds {STREAM_JUMP}"
+                f"restoration needs {end} deviates; a stream holds {STREAM_JUMP}"
             )
-        missing = start + count - len(self._restore)
+        missing = end - len(self.restore)
         if missing > 0:
-            stream = self._restore_stream
-            self._restore.extend(stream.next_normal() for _ in range(missing))
-        return self._restore[start : start + count]
+            self.restore += self._restore_stream.normals(missing)
 
 
 class CompiledProcedure:
     """A procedure's run loop for one QC shape, generated and compiled:
-    ``run(series, k, delta, runs, restore_slice)`` counts the rejected runs
+    ``run(series, k, delta, runs, restore, more)`` counts the rejected runs
     of measurements ``series[i] * k + delta``, each rejection reloading the
-    windows, oldest first, from the next ``restore_slice`` values."""
+    windows, oldest first, from the next values of the list ``restore``;
+    when it runs short, ``more(end)`` extends it to ``end`` values."""
 
     __slots__ = ("run",)
 
@@ -146,9 +150,9 @@ class CompiledProcedure:
                 for new, names in zip(arrivals, slots)
             )
 
-        restore = width * (1 + levels)
-        self.run = define("run", "series, k, delta, runs, restore_slice", [
-            "    rejected = f = 0",
+        reload = width * (1 + levels)
+        self.run = define("run", "series, k, delta, runs, restore, more", [
+            "    f = o = 0",
             f"    {' = '.join(name for names in slots for name in names)} = 0.0",
             f"    it = iter([v * k + delta for v in series[:runs * {len(xs)}]])",
             f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
@@ -157,11 +161,13 @@ class CompiledProcedure:
               for new, names in zip(arrivals, slots)),
             *boolean_source(build_expr(procedure), leaf, "        "),
             "        if t:",
+            f"            if len(restore) < o + {reload}:",
+            f"                more(o + {reload})",
             f"            {', '.join(n for names in slots for n in names[::-1])}"
-            f" = restore_slice(rejected * {restore}, {restore})",
-            "            rejected += 1",
+            f" = restore[o:o + {reload}]",
+            f"            o += {reload}",
             f"            f = {width}",
-            "    return rejected",
+            f"    return o // {reload}",
         ])
 
 
@@ -204,7 +210,9 @@ def simulate_condition(
     if len(series) < per_run * runs:
         raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(series)}")
     run = compiled_procedure(procedure, levels, per_level).run
-    rejected = run(series, condition.sd_multiplier, condition.shift, runs, pool.restore_slice)
+    rejected = run(
+        series, condition.sd_multiplier, condition.shift, runs, pool.restore, pool.more
+    )
     return rejected / runs
 
 
@@ -243,7 +251,7 @@ def draw_condition_pools(
     pools = {}
     for name, offset in _COND_OFFSETS.items():
         sub = base_stream.substream(offset)
-        series = [sub.next_normal() for _ in range(2 * measurements_per_level)]
+        series = sub.normals(2 * measurements_per_level)
         pools[name] = DeviatePool(series, base_stream.substream(offset + _RESTORE_GAP))
     return pools
 

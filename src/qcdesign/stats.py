@@ -52,10 +52,35 @@ def sign_test(a: Sequence[float], b: Sequence[float]) -> SignTestResult:
 
 
 def summarize(values: Sequence[float]):
-    """(mean, sample SD with n-1 divisor)."""
-    if len(values) < 2:
+    """(mean, sample SD with n-1 divisor). The SD is the correctly rounded
+    square root of the exact variance, so it has the same bits on every
+    Python version (``statistics.stdev`` rounds differently before 3.11)."""
+    count = len(values)
+    if count < 2:
         raise InvalidArgumentError("need at least two values for a sample SD")
-    return statistics.fmean(values), statistics.stdev(values)
+    # A float is an integer over a power of two, so over the largest such
+    # denominator every value is an integer and the variance is exact.
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(d for _, d in ratios)
+    ints = [n * (scale // d) for n, d in ratios]
+    total = sum(ints)
+    sd = _sqrt(count * sum(i * i for i in ints) - total * total, count * (count - 1) * scale**2)
+    return statistics.fmean(values), sd
+
+
+def _sqrt(n: int, m: int) -> float:
+    """sqrt(n / m), correctly rounded: scale by 4**-q so that the integer
+    square root has at least 55 bits, two more than a double, round it to
+    odd (set its last bit when inexact), and let the one conversion to
+    float round it to nearest."""
+    q = (n.bit_length() - m.bit_length() - 109) // 2
+    if q >= 0:
+        m <<= 2 * q
+    else:
+        n <<= -2 * q
+    root = math.isqrt(n // m)
+    root |= root * root * m != n
+    return float(root << q) if q >= 0 else root / (1 << -q)
 
 
 @dataclass(frozen=True)

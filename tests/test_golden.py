@@ -6,16 +6,27 @@ alters a report on purpose re-freezes them with
 
     PYTHONPATH=src python tests/test_golden.py --freeze
 
-and says why in CHANGES.md.
+and says why in CHANGES.md. Without pytest,
+
+    PYTHONPATH=src python tests/test_golden.py --check
+
+renders every case, the design cases also on two processes, and exits 1
+if any report differs from its fixture.
 """
 
 import json
 import sys
 from pathlib import Path
+from unittest import mock
 
-import pytest
+try:
+    import pytest
+except ModuleNotFoundError:  # --check and --freeze run without it
+    pytest = None
 
 from qcdesign.cli import EXIT_OK, main
+
+parametrize = pytest.mark.parametrize if pytest else lambda *args, **kwargs: lambda fn: fn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -68,10 +79,10 @@ def _fixture(stem: str, fmt: str) -> str:
     return f"{stem}.{'json' if fmt == 'doc' else 'csv'}"
 
 
-PARAMS = [
-    pytest.param(config, fmt, argv, _fixture(stem, fmt), id=f"{stem}.{fmt}")
-    for stem, fmt, config, argv in _expand()
-]
+PARAMS = [(config, fmt, argv, _fixture(stem, fmt)) for stem, fmt, config, argv in _expand()]
+IDS = [f"{stem}.{fmt}" for stem, fmt, _, _ in _expand()]
+# Design cases that must give the same bytes on two processes.
+TWO_PROCESSES = [("design", _DESIGN), ("no_coercion_design", _NO_COERCION)]
 
 
 def _report(workdir: Path, config: dict, fmt: str, argv: list) -> bytes:
@@ -83,15 +94,13 @@ def _report(workdir: Path, config: dict, fmt: str, argv: list) -> bytes:
     return out_path.read_bytes()
 
 
-@pytest.mark.parametrize("config, fmt, argv, fixture", PARAMS)
+@parametrize("config, fmt, argv, fixture", PARAMS, ids=IDS)
 def test_report_matches_fixture(tmp_path, config, fmt, argv, fixture):
     assert _report(tmp_path, config, fmt, argv) == (GOLDEN / fixture).read_bytes()
 
 
-@pytest.mark.parametrize("fmt", ["doc", "csv"])
-@pytest.mark.parametrize(
-    "stem, config", [("design", _DESIGN), ("no_coercion_design", _NO_COERCION)]
-)
+@parametrize("fmt", ["doc", "csv"])
+@parametrize("stem, config", TWO_PROCESSES)
 def test_design_on_two_processes_matches_fixture(tmp_path, monkeypatch, stem, config, fmt):
     # The report must not depend on the worker count, even on a 1-core machine.
     monkeypatch.setattr("os.cpu_count", lambda: 2)
@@ -103,11 +112,32 @@ def _freeze() -> None:
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
-        for param in PARAMS:
-            config, fmt, argv, fixture = param.values
+        for config, fmt, argv, fixture in PARAMS:
             (GOLDEN / fixture).write_bytes(_report(Path(tmp), config, fmt, argv))
             print(f"froze {fixture}")
 
 
+def _check() -> int:
+    import tempfile
+
+    cases = [(name, *param) for name, param in zip(IDS, PARAMS)]
+    cases += [
+        (f"{stem}.{fmt} on two processes", config, fmt, ["--threads", "2", "design"],
+         _fixture(stem, fmt))
+        for stem, config in TWO_PROCESSES
+        for fmt in ("doc", "csv")
+    ]
+    failed = 0
+    with tempfile.TemporaryDirectory() as tmp, mock.patch("os.cpu_count", lambda: 2):
+        for name, config, fmt, argv, fixture in cases:
+            same = _report(Path(tmp), config, fmt, argv) == (GOLDEN / fixture).read_bytes()
+            failed += not same
+            print(f"{'ok' if same else 'DIFFERS'}  {name}")
+    print(f"{len(cases) - failed} of {len(cases)} reports match on Python {sys.version.split()[0]}")
+    return 1 if failed else 0
+
+
 if __name__ == "__main__" and sys.argv[1:] == ["--freeze"]:
     _freeze()
+elif __name__ == "__main__" and sys.argv[1:] == ["--check"]:
+    sys.exit(_check())

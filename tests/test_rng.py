@@ -4,7 +4,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import (
@@ -71,6 +71,31 @@ def test_normal_consumes_one_uniform():
     a.next_normal()
     b.next_uniform()
     assert a.state == b.state
+
+
+@example(1, 0, 0)
+@example(1, 0, 1)
+@example(12345, MAX_STREAM_ID, 400)
+@given(
+    st.integers(1, DEFAULT_MODULUS - 1),
+    st.integers(0, MAX_STREAM_ID),
+    st.one_of(st.sampled_from([0, 1]), st.integers(0, 400)),
+)
+def test_normals_match_next_normal_bit_for_bit(seed, stream_id, count):
+    batch, scalar = new_stream(seed, stream_id), new_stream(seed, stream_id)
+    values = batch.normals(count)
+    expected = [scalar.next_normal() for _ in range(count)]
+    assert [v.hex() for v in values] == [v.hex() for v in expected]
+    assert batch.state == scalar.state
+
+
+@pytest.mark.parametrize("seed, stream_id", [(1, 0), (12345, 3), (2**31 - 2, MAX_STREAM_ID)])
+def test_normals_match_next_normal_in_both_tails(seed, stream_id):
+    # The BSM tail series serves u < 0.08 and u > 0.92, |z| >= 1.405.
+    values = new_stream(seed, stream_id).normals(400)
+    assert min(values) < -1.41 and max(values) > 1.41
+    scalar = new_stream(seed, stream_id)
+    assert [v.hex() for v in values] == [scalar.next_normal().hex() for _ in range(400)]
 
 
 def test_seed_validation():

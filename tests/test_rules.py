@@ -55,6 +55,37 @@ def test_rule_bounds():
         Rule(S, 1, -0.1)
 
 
+_tenths = st.integers(-63, 63).map(lambda tenth: round(0.1 * tenth, 1))
+
+
+@given(
+    st.integers(2, 4),
+    st.one_of(st.sampled_from([0.0, 6.3]), st.integers(0, 63).map(lambda t: round(0.1 * t, 1))),
+    st.lists(st.one_of(_tenths, st.sampled_from([0.0, -0.0]), st.floats(-8, 8)), max_size=6),
+)
+def test_range_rule_is_max_minus_min(n, limit, window):
+    """R's pairwise test decides as ``max - min > x`` would, on grid values
+    whose differences round onto the limit, on ties and on signed zeros."""
+    expected = len(window) >= n and max(window[-n:]) - min(window[-n:]) > limit
+    assert evaluate_rule(Rule(R, n, limit), window) == expected
+
+
+@pytest.mark.parametrize(
+    "window, limit, fires",
+    [
+        ([0.0, -0.0, 0.0, -0.0], 0.0, False),  # signed zeros: no range
+        ([2.1, 2.1, 2.1], 0.0, False),  # exact ties
+        ([-3.15, 0.0, 3.15], 6.3, False),  # the range is exactly the largest limit
+        ([-3.2, 3.15], 6.3, True),
+        ([0.3, 0.1, 0.2, 0.1], 0.2, False),  # 0.3 - 0.1 rounds below 0.2
+        ([-0.1, 0.2], 0.3, True),  # 0.2 - -0.1 rounds above 0.3
+    ],
+)
+def test_range_rule_at_rounding_edges(window, limit, fires):
+    assert (max(window) - min(window) > limit) == fires
+    assert evaluate_rule(Rule(R, len(window), limit), window) == fires
+
+
 def test_evaluate_single_value():
     rule = Rule(S, 2, 2.0)
     assert evaluate_rule(rule, [0.0, -2.1, 2.5])
@@ -293,7 +324,8 @@ def _run_once(procedure, levels, values):
     """Reject count of one run whose measurements are ``values``, level by
     level in turn, through the procedure's generated run loop."""
     compiled = CompiledProcedure(procedure, levels, len(values) // levels)
-    return compiled.run(values, 1.0, 0.0, 1, DeviatePool(values, new_stream(1, 9)).restore_slice)
+    pool = DeviatePool(values, new_stream(1, 9))
+    return compiled.run(values, 1.0, 0.0, 1, pool.restore, pool.more)
 
 
 # A run holds at least one measurement, so these windows are not empty.

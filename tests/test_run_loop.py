@@ -34,7 +34,7 @@ CONDITIONS = (
 
 
 class RecordingPool(DeviatePool):
-    """A pool that records every restoration request."""
+    """A pool that records every ``more(end)`` call."""
 
     __slots__ = ("calls",)
 
@@ -42,9 +42,9 @@ class RecordingPool(DeviatePool):
         super().__init__(series, restore_stream)
         self.calls = []
 
-    def restore_slice(self, start, count):
-        self.calls.append((start, count))
-        return super().restore_slice(start, count)
+    def more(self, end):
+        self.calls.append(end)
+        super().more(end)
 
 
 def _normals(seed, count):
@@ -53,18 +53,29 @@ def _normals(seed, count):
 
 
 def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series):
-    """simulate_condition and the oracle agree on the reject count and on
-    every restoration request, each on its own copy of the same pool."""
+    """simulate_condition and the oracle agree on the reject count, each on
+    its own fresh copy of the same pool. Nothing is drawn ahead, so the
+    product extends its pool on every rejection, to exactly the end of the
+    oracle's restoration slice."""
     shaped = Procedure(procedure.rules, procedure.operators, levels, per_level)
     plan = SimulationPlan(measurements_per_level=runs * per_level)
-    product, oracle = (RecordingPool(series, new_stream(1, 4)) for _ in range(2))
+    product = RecordingPool(series, new_stream(1, 4))
+    oracle = DeviatePool(series, new_stream(1, 4))
     fraction = simulate_condition(shaped, plan, condition, product)
+    requests = []
+
+    def restore_slice(start, count):
+        requests.append(start + count)
+        oracle.more(start + count)
+        return oracle.restore[start : start + count]
+
     rejected = oracle_simulate(
         procedure, levels, per_level, oracle.series,
-        condition.sd_multiplier, condition.shift, runs, oracle.restore_slice,
+        condition.sd_multiplier, condition.shift, runs, restore_slice,
     )
     assert fraction == rejected / runs
-    assert product.calls == oracle.calls
+    assert product.calls == requests
+    assert len(product.restore) == max(requests, default=0)
 
 
 _limits = st.one_of(

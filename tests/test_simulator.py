@@ -164,12 +164,23 @@ def test_plan_validation():
         SimulationPlan(per_level_per_run=5)
 
 
-def test_restore_slice_cannot_overrun_its_stream():
+def test_more_cannot_overrun_its_stream():
     stream = new_stream(1, 9)
     pool = DeviatePool([], stream)
-    with pytest.raises(InvalidArgumentError, match="restoration"):
-        pool.restore_slice(STREAM_JUMP - 2, 4)
+    with pytest.raises(InvalidArgumentError, match="restoration needs 100002 deviates"):
+        pool.more(STREAM_JUMP + 2)
     assert stream.state == new_stream(1, 9).state  # nothing drawn
+
+
+def test_run_loop_overrun_raises_through_more():
+    # M(4,0.0) on two levels rejects every run from the second on, and each
+    # rejection reloads 12 values: 9,000 runs need over STREAM_JUMP of them.
+    procedure = Procedure((Rule(RuleKind.MEAN, 4, 0.0),))
+    pool = DeviatePool([1.0] * 18000, new_stream(1, 9))
+    run = simulator.CompiledProcedure(procedure, 2, 1).run
+    with pytest.raises(InvalidArgumentError, match="restoration needs 100008 deviates"):
+        run(pool.series, 1.0, 0.0, 9000, pool.restore, pool.more)
+    assert len(pool.restore) == STREAM_JUMP - STREAM_JUMP % 12  # nothing past the budget
 
 
 def test_budget_errors():

@@ -1,6 +1,8 @@
 """Sign test, summaries, and the replicated comparison harness."""
 
 import math
+import statistics
+import sys
 from fractions import Fraction
 
 import pytest
@@ -79,6 +81,39 @@ def test_summarize():
     assert sd == pytest.approx(0.00755, abs=1e-5)
     with pytest.raises(InvalidArgumentError):
         summarize([1.0])
+
+
+_sd_samples = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, 1000).map(lambda k: k / 1000),
+        st.floats(-1e30, 1e30, allow_subnormal=False),
+    ),
+    min_size=2,
+    max_size=25,
+)
+
+
+@given(_sd_samples)
+def test_summarize_sd_is_the_nearest_double_to_the_exact_sd(values):
+    """Independent of Python's statistics module: the SD's neighbours'
+    midpoints bracket the square root of the exact variance."""
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    variance = sum((v - mean) ** 2 for v in exact) / (len(exact) - 1)
+    sd = summarize(values)[1]
+    below = (Fraction(sd) + Fraction(math.nextafter(sd, 0.0))) / 2
+    above = (Fraction(sd) + Fraction(math.nextafter(sd, math.inf))) / 2
+    assert below**2 <= variance <= above**2
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11),
+    reason="before 3.11 stdev rounds the variance before its square root",
+)
+@given(_sd_samples)
+def test_summarize_sd_equals_stdev(values):
+    assert summarize(values)[1] == statistics.stdev(values)
 
 
 def _small_plan():
