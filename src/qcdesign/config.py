@@ -13,7 +13,7 @@ integer, and JSON lists stand for tuples.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Optional, Union, get_args, get_origin, get_type_hints
@@ -105,8 +105,8 @@ def _conforms(value, hint) -> bool:
         return len(value) == len(args) and all(map(_conforms, value, args))
     if isinstance(value, bool):
         return hint is bool
-    if hint is float:
-        return isinstance(value, (int, float)) and math.isfinite(value)
+    if hint is float:  # a finite float, or an integer that converts to one
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return isinstance(value, hint)
 
 

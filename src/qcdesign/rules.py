@@ -16,6 +16,7 @@ associate left to right.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
@@ -127,8 +128,9 @@ class Node:
 ExprTree = Union[Leaf, Node, None]
 
 
-# The one definition of a rule: per kind, its test with limit x on the
-# source expressions v of a window's last n values, oldest first. R tests
+# The one definition of a rule: per kind, its test on the source
+# expressions v of a window's last n values, oldest first, against the
+# source expression c of the rule's bound (see :func:`bound`). R tests
 # every pair: IEEE subtraction rounds monotonically and symmetrically, so
 # fl(max - min) > x exactly when some |fl(a - b)| > x, and abs costs a
 # fraction of max and min. Its ``or`` chain is parenthesised because
@@ -138,16 +140,26 @@ ExprTree = Union[Leaf, Node, None]
 # stay: x ** 2 and x * x differ in the last bit for some doubles (for
 # example 1.4658814763242407), so ``d * d`` would change reports.
 RULE_SOURCE = {
-    RuleKind.SINGLE_VALUE: lambda v, x: " and ".join(f"abs({a}) > {x!r}" for a in v),
-    RuleKind.RANGE: lambda v, x: (
-        f"({' or '.join(f'abs({a} - {b}) > {x!r}' for a, b in combinations(v, 2))})"
+    RuleKind.SINGLE_VALUE: lambda v, c: " and ".join(f"abs({a}) > {c}" for a in v),
+    RuleKind.RANGE: lambda v, c: (
+        f"({' or '.join(f'abs({a} - {b}) > {c}' for a, b in combinations(v, 2))})"
     ),
-    RuleKind.MEAN: lambda v, x: f"abs({' + '.join(v)}) > {x * len(v)!r}",
-    RuleKind.STD_DEV: lambda v, x: (
+    RuleKind.MEAN: lambda v, c: f"abs({' + '.join(v)}) > {c}",
+    RuleKind.STD_DEV: lambda v, c: (
         f"(({v[0]} - (m := ({' + '.join(v)}) / {len(v)})) ** 2"
-        + "".join(f" + ({a} - m) ** 2" for a in v[1:]) + f") / {len(v) - 1} > {x * x!r}"
+        + "".join(f" + ({a} - m) ** 2" for a in v[1:]) + f") / {len(v) - 1} > {c}"
     ),
 }
+
+
+def bound(rule: Rule) -> float:
+    """The constant a rule's test compares with: the limit x, but n * x for
+    M, which tests |sum|, and x * x for D, which tests the variance."""
+    if rule.kind is RuleKind.MEAN:
+        return rule.limit * rule.n
+    if rule.kind is RuleKind.STD_DEV:
+        return rule.limit * rule.limit
+    return rule.limit
 
 
 def define(name: str, params: str, body: Sequence[str]) -> Callable:
@@ -155,6 +167,28 @@ def define(name: str, params: str, body: Sequence[str]) -> Callable:
     namespace: dict = {}
     exec("\n".join([f"def {name}({params}):", *body]), namespace)
     return namespace[name]
+
+
+# Compiled code of this process by structure, least recently used first.
+# A key names a structure only (rule kinds and windows, operators, shape),
+# never a limit: the limits are parameters, so procedures that differ only
+# in their limits share one entry. The bound keeps a long design's memory
+# flat; an entry holds a few KB.
+COMPILED_STRUCTURES = 4096
+structure_cache: OrderedDict = OrderedDict()
+
+
+def by_structure(key, build: Callable):
+    """``build()`` for a structure key, built once while the key stays
+    among the ``COMPILED_STRUCTURES`` most recently used."""
+    value = structure_cache.get(key)
+    if value is None:
+        value = structure_cache[key] = build()
+        if len(structure_cache) > COMPILED_STRUCTURES:
+            structure_cache.popitem(last=False)
+    else:
+        structure_cache.move_to_end(key)
+    return value
 
 
 def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
@@ -205,12 +239,17 @@ def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> 
 
 def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
     """Apply a tree to one window (newest last); a rule needs n values in it."""
+    bounds = []
 
     def leaf(rule: Rule) -> str:
+        bounds.append(bound(rule))
         values = [f"w[{-i}]" for i in range(rule.n, 0, -1)]
-        return f"len(w) >= {rule.n} and {RULE_SOURCE[rule.kind](values, rule.limit)}"
+        return f"len(w) >= {rule.n} and {RULE_SOURCE[rule.kind](values, f'c{len(bounds) - 1}')}"
 
-    return define("holds", "w", [*boolean_source(expr, leaf, "    "), "    return t"])(window)
+    body = [*boolean_source(expr, leaf, "    "), "    return t"]
+    params = ", ".join(["w", *(f"c{i}" for i in range(len(bounds)))])
+    holds = by_structure("\n".join(body), lambda: define("holds", params, body))
+    return holds(window, *bounds)
 
 
 def canonical_notation(procedure: Procedure) -> str:

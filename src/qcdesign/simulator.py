@@ -12,12 +12,18 @@ The simulated error persists until detection: after a rejected run the
 process is restored, so the rule windows are reloaded with in-control
 values before the error is reintroduced in the next run.
 
-Each procedure's run loop is generated as Python source for its QC shape
-(:class:`CompiledProcedure`): the windows are locals, shifted once per
-run, and each rule's test is its ``rules.RULE_SOURCE`` template on them.
-A rejection reloads the windows straight from the pool's list of
-restoration deviates, which the pool extends only when a loop reads past
-its end; every deviate comes from ``RandomStream.normals`` batches.
+Run loops are generated as Python source, one per structure and QC shape
+(:class:`CompiledProcedure`): the structure is each rule's kind and
+window and the operators, and the rules' bounds are the loop's
+parameters, so procedures that differ only in their limits share one
+compiled loop (``rules.by_structure``). A loop reads its run's
+measurements by name, keeps in locals only the older window values that
+some test reads, and tests each rule with its ``rules.RULE_SOURCE``
+template. A pool scales its series once per condition, for every loop
+that reads it. A rejection reloads the windows straight from the pool's
+list of restoration deviates, which the pool extends only when a loop
+reads past its end; every deviate comes from ``RandomStream.normals``
+batches.
 """
 
 from __future__ import annotations
@@ -25,13 +31,15 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence
+from types import FunctionType
+from typing import Callable, Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream, new_stream
-from .rules import N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, build_expr, define
+from .rules import (
+    N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, bound, build_expr, by_structure, define,
+)
 
 # Substream offsets of a simulation's base stream, one per error
 # condition, plus a fixed gap to each condition's stream of restoration
@@ -96,20 +104,29 @@ class PerformanceEstimate:
 class DeviatePool:
     """Raw N(0,1) deviates for one condition.
 
-    ``series`` holds the measurement deviates; ``restore`` holds the
-    restoration deviates drawn so far from a dedicated stream, and
-    :meth:`more` draws the rest on demand.  Sharing one pool across
-    procedures pairs their simulations (common random numbers): every
-    procedure reads the same series and a prefix of the same restoration
-    sequence.
+    ``series`` holds the measurement deviates, and :meth:`scaled` the
+    measurements of a condition. ``restore`` holds the restoration
+    deviates drawn so far from a dedicated stream, and :meth:`more` draws
+    the rest on demand. Sharing one pool across procedures pairs their
+    simulations (common random numbers): every procedure reads the same
+    measurements and a prefix of the same restoration sequence.
     """
 
-    __slots__ = ("series", "restore", "_restore_stream")
+    __slots__ = ("series", "restore", "_restore_stream", "_scaled")
 
     def __init__(self, series: Sequence[float], restore_stream: RandomStream):
         self.series = list(series)
         self.restore: list = []
         self._restore_stream = restore_stream
+        self._scaled: dict = {}
+
+    def scaled(self, k: float, delta: float) -> list:
+        """``[v * k + delta for v in series]``, computed once per (k, delta)."""
+        key = (float(k).hex(), float(delta).hex())  # -0.0 and 0.0 differ
+        xs = self._scaled.get(key)
+        if xs is None:
+            xs = self._scaled[key] = [v * k + delta for v in self.series]
+        return xs
 
     def more(self, end: int) -> None:
         """Extend ``restore`` in place to at least ``end`` deviates."""
@@ -123,59 +140,81 @@ class DeviatePool:
 
 
 class CompiledProcedure:
-    """A procedure's run loop for one QC shape, generated and compiled:
-    ``run(series, k, delta, runs, restore, more)`` counts the rejected runs
-    of measurements ``series[i] * k + delta``, each rejection reloading the
-    windows, oldest first, from the next values of the list ``restore``;
-    when it runs short, ``more(end)`` extends it to ``end`` values."""
+    """The run loop of a procedure's structure for one QC shape, generated
+    and compiled: ``run(xs, runs, restore, more)`` counts the rejected runs
+    of the measurements ``xs``, each rejection reloading the windows,
+    oldest first, from the next values of the list ``restore``; when it
+    runs short, ``more(end)`` extends it to ``end`` values. Each rule's
+    bound is a parameter, with the procedure's as defaults, so the loop
+    serves every procedure of the structure (:func:`run_loop`)."""
 
     __slots__ = ("run",)
 
     def __init__(self, procedure: Procedure, levels: int, per_level: int):
-        width = max((r.n for r in procedure.rules), default=1)
+        rules = procedure.rules
+        width = max((r.n for r in rules), default=1)
         xs = [f"x{j}" for j in range(levels * per_level)]
         # Window 0 is the cross-level history and window 1 + L level L's,
-        # each taking its values of a run in order; local w{i}_{j} is window
-        # i's j-th newest value. After f runs (until a rejection fills it)
-        # window i holds f * len(arrivals[i]) values. The empty procedure
-        # keeps one value per window and never rejects.
+        # each taking its values of a run in order. A test reads its run's
+        # values by name and the window's older values from locals
+        # w{i}_{j}, window i's j-th newest before the run; a window keeps
+        # only as many as some test reads. After f runs (until a rejection
+        # fills it) window i holds f * len(arrivals[i]) values. The empty
+        # procedure never rejects.
         arrivals = [xs] + [xs[level::levels] for level in range(levels)]
-        slots = [[f"w{i}_{j}" for j in range(1, width + 1)] for i in range(1 + levels)]
+        slots = [
+            [f"w{i}_{j}" for j in range(1, max([r.n - len(new) for r in rules] + [0]) + 1)]
+            for i, new in enumerate(arrivals)
+        ]
+        newest = [new[::-1] + names for new, names in zip(arrivals, slots)]
+        kept = [name for names in slots for name in names]
+        count = iter(range(len(rules)))  # boolean_source meets the rules in order
 
         def leaf(rule: Rule) -> str:
-            # Window i holds n values after ceil(n / len(arrivals[i])) runs.
-            return " or ".join(
+            # Window i holds n values after ceil(n / len(arrivals[i])) runs;
+            # windows that read the same names make one test.
+            c = f"c{next(count)}"
+            return " or ".join(dict.fromkeys(
                 ("" if rule.n <= len(new) else f"f >= {-(-rule.n // len(new))} and ")
-                + RULE_SOURCE[rule.kind](names[rule.n - 1 :: -1], rule.limit)
-                for new, names in zip(arrivals, slots)
-            )
+                + RULE_SOURCE[rule.kind](names[rule.n - 1 :: -1], c)
+                for new, names in zip(arrivals, newest)
+            ))
 
+        # A rejection reloads every window's width values, read or not, so
+        # the loop asks its pool for the restorations at the same ends.
         reload = width * (1 + levels)
-        self.run = define("run", "series, k, delta, runs, restore, more", [
-            "    f = o = 0",
-            f"    {' = '.join(name for names in slots for name in names)} = 0.0",
-            f"    it = iter([v * k + delta for v in series[:runs * {len(xs)}]])",
+        targets = [
+            names[j] if j < len(names) else "_"
+            for names in slots for j in range(width - 1, -1, -1)
+        ]
+        params = ", ".join(["xs, runs, restore, more", *(f"c{i}" for i in range(len(rules)))])
+        self.run = define("run", params, [
+            f"    {'f = ' if kept else ''}o = 0",
+            *([f"    {' = '.join(kept)} = 0.0"] if kept else []),
+            f"    it = iter(xs[:runs * {len(xs)}])",
             f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
-            "        f += 1",
-            *(f"        {', '.join(names)} = {', '.join((new[::-1] + names)[:width])}"
-              for new, names in zip(arrivals, slots)),
+            *(["        f += 1"] if kept else []),
             *boolean_source(build_expr(procedure), leaf, "        "),
             "        if t:",
             f"            if len(restore) < o + {reload}:",
             f"                more(o + {reload})",
-            f"            {', '.join(n for names in slots for n in names[::-1])}"
-            f" = restore[o:o + {reload}]",
+            *([f"            {', '.join(targets)} = restore[o:o + {reload}]"] if kept else []),
             f"            o += {reload}",
-            f"            f = {width}",
+            *([f"            f = {width}", "        else:"] if kept else []),
+            *(f"            {', '.join(names)} = {', '.join(new[: len(names)])}"
+              for names, new in zip(slots, newest) if names),
             f"    return o // {reload}",
         ])
+        self.run.__defaults__ = tuple(map(bound, rules))
 
 
-# Generated run loops of this process, by (procedure, levels, per_level).
-# The bound keeps a long design's memory flat; compare cycles through
-# fewer procedures than this on every replicate.
-COMPILED_PROCEDURES = 64
-compiled_procedure = lru_cache(maxsize=COMPILED_PROCEDURES)(CompiledProcedure)
+def run_loop(procedure: Procedure, levels: int, per_level: int) -> Callable:
+    """The run loop of ``procedure`` for a QC shape: the compiled loop of
+    its structure, with its own bounds as defaults."""
+    rules = procedure.rules
+    key = (tuple((r.kind, r.n) for r in rules), procedure.operators, levels, per_level)
+    run = by_structure(key, lambda: CompiledProcedure(procedure, levels, per_level)).run
+    return FunctionType(run.__code__, run.__globals__, "run", tuple(map(bound, rules)))
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -206,13 +245,10 @@ def simulate_condition(
             f"of {per_level} measurements per level"
         )
     per_run = levels * per_level
-    series = pool.series
-    if len(series) < per_run * runs:
-        raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(series)}")
-    run = compiled_procedure(procedure, levels, per_level).run
-    rejected = run(
-        series, condition.sd_multiplier, condition.shift, runs, pool.restore, pool.more
-    )
+    if len(pool.series) < per_run * runs:
+        raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(pool.series)}")
+    xs = pool.scaled(condition.sd_multiplier, condition.shift)
+    rejected = run_loop(procedure, levels, per_level)(xs, runs, pool.restore, pool.more)
     return rejected / runs
 
 

@@ -78,6 +78,14 @@ def test_config_error_exit_code(capsys, tmp_path):
     assert "config error" in err
 
 
+def test_objective_with_an_infinite_f_exits_2(capsys, tmp_path):
+    config = _small_config(tmp_path, objective={"w_re": 1.7e308, "w_se": 1.7e308})
+    code, out, err = _run(capsys, "--config", config, "evaluate", "NONE")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert "config error: objective weights too large" in err
+    assert "Traceback" not in err
+
+
 def test_infeasible_assay_exit_code(capsys, tmp_path):
     path = tmp_path / "job.json"
     path.write_text('{"assay": {"sd": 1.0, "bias": 0.0, "tea": 1.0}}')

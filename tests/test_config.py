@@ -100,6 +100,15 @@ def test_invalid_values_surface_as_config_errors(tmp_path):
         load_config(_write(tmp_path, {"library_files": "not-a-list"}))
 
 
+def test_objective_must_keep_the_worst_f_finite(tmp_path):
+    # Worst case (0, 0, 1): 0.25 * 1e308 + 0.25 * 7e307 + 1 is finite.
+    finite = {"w_re": 1e308, "w_se": 7e307, "p_se_target": 0.5}
+    assert load_config(_write(tmp_path, {"objective": finite})).objective.w_se == 7e307
+    # 0.25 * 1.7e308 + 1.7e308 overflows, and so would f for NONE.
+    with pytest.raises(ConfigError, match="worst-case f is not a finite number"):
+        load_config(_write(tmp_path, {"objective": {"w_re": 1.7e308, "w_se": 1.7e308}}))
+
+
 def test_mutation_schedule_roundtrip(tmp_path):
     path = _write(tmp_path, {"ga": {"mutation_schedule": [[0, 0.0], [10, 0.001]]}})
     assert load_config(path).ga.mutation_schedule == ((0, 0.0), (10, 0.001))
@@ -138,6 +147,7 @@ def test_values_keep_their_json_type(tmp_path):
         {"output": 5},
         {"output_format": None},
         {"library_files": [1]},
+        {"objective": {"w_re": 10**400}},  # no float holds it
     ],
 )
 def test_wrong_types_exit_with_config_error(tmp_path, capsys, payload):

@@ -1,5 +1,7 @@
 """Design objective and comparison objective tests."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -64,3 +66,37 @@ def test_comparison_never_exceeds_design_objective(p_re, p_se, p_fr):
     est = _est(p_re, p_se, p_fr)
     assert comparison_f1(est) <= fitness_f(est) + 1e-12
     assert comparison_f1(est) >= 0.0
+
+
+_weights = st.floats(min_value=0, max_value=1.7976931348623157e308)
+
+
+@given(_weights, _weights, _weights, st.floats(0, 1), st.floats(0, 1), st.data())
+def test_an_accepted_objective_keeps_every_f_finite(w_re, w_se, w_fr, t_re, t_se, data):
+    corners = [(p_re, p_se) for p_re in (0.0, 1.0) for p_se in (0.0, 1.0)]
+    try:
+        cfg = ObjectiveConfig(p_re_target=t_re, p_se_target=t_se, w_re=w_re, w_se=w_se, w_fr=w_fr)
+    except InvalidArgumentError:  # then some estimate has an infinite f
+        assert any(
+            math.isinf(w_re * (p_re - t_re) ** 2 + w_se * (p_se - t_se) ** 2 + w_fr)
+            for p_re, p_se in corners
+        )
+        return
+    p = st.floats(0, 1)
+    for estimate in [_est(*corner, 1.0) for corner in corners] + [
+        _est(data.draw(p), data.draw(p), data.draw(p))
+    ]:
+        assert math.isfinite(fitness_f(estimate, cfg))
+
+
+@pytest.mark.parametrize(
+    "objective",
+    [
+        # Each overflows only at the corner farther from its target.
+        dict(w_re=1.7e308, w_se=5e307, p_re_target=0.9),
+        dict(w_re=1.7e308, w_se=1.7e308, p_se_target=0.1),
+    ],
+)
+def test_the_worst_f_is_at_the_corner_farther_from_each_target(objective):
+    with pytest.raises(InvalidArgumentError, match="worst-case f"):
+        ObjectiveConfig(**objective)

@@ -1,8 +1,11 @@
 """Rule evaluation, expression building, notation, and proposition counting."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, strategies as st
 
+import qcdesign.rules
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import new_stream
 from qcdesign.rules import (
@@ -13,6 +16,7 @@ from qcdesign.rules import (
     Procedure,
     Rule,
     RuleKind,
+    bound,
     build_expr,
     canonical_notation,
     count_distinct_propositions,
@@ -104,6 +108,22 @@ def test_evaluate_std_dev():
     # sample SD of [0, 2] is sqrt(2) = 1.4142
     assert evaluate_rule(Rule(D, 2, 1.0), [5.0, 0.0, 2.0])
     assert not evaluate_rule(Rule(D, 2, 1.5), [5.0, 0.0, 2.0])
+
+
+def test_reference_evaluator_compiles_once_per_structure(monkeypatch):
+    cache = OrderedDict()
+    monkeypatch.setattr(qcdesign.rules, "structure_cache", cache)
+    # |1.0 + 0.9| = 1.9 against the bounds 2 * x.
+    results = [evaluate_rule(Rule(M, 2, x), [1.0, 0.9]) for x in (0.9, 0.95, 1.0)]
+    assert results == [True, False, False]
+    assert len(cache) == 1
+    evaluate_rule(Rule(M, 3, 0.9), [1.0, 0.9])
+    assert len(cache) == 2
+
+
+def test_bounds_are_products():
+    x = 1.4658814763242407  # x ** 2 is one bit off x * x
+    assert [bound(Rule(kind, 2, x)) for kind in (S, R, M, D)] == [x, x, x * 2, x * x]
 
 
 def test_history_prefix_irrelevant():
@@ -325,7 +345,7 @@ def _run_once(procedure, levels, values):
     level in turn, through the procedure's generated run loop."""
     compiled = CompiledProcedure(procedure, levels, len(values) // levels)
     pool = DeviatePool(values, new_stream(1, 9))
-    return compiled.run(values, 1.0, 0.0, 1, pool.restore, pool.more)
+    return compiled.run(values, 1, pool.restore, pool.more)
 
 
 # A run holds at least one measurement, so these windows are not empty.

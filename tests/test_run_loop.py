@@ -1,12 +1,15 @@
 """Generated run loops against the closure-based loop they replaced
 (``closure_oracle``): the same reject counts from the same restoration
-draws, for random procedures and for the worst shapes of 256 rules."""
+draws, for random procedures, for procedures that share a loop and for
+the worst shapes of 256 rules."""
 
 import sys
+from collections import OrderedDict
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import qcdesign.rules as rules
 import qcdesign.simulator as simulator
 from closure_oracle import simulate as oracle_simulate
 from qcdesign.rng import new_stream
@@ -156,19 +159,88 @@ def test_generated_blocks_nest_at_most_one_per_priority(name):
     assert max(len(line) - len(line.lstrip()) for line in lines) <= 4 * 4
 
 
-def test_compiled_loop_cache_is_bounded():
-    compiled = simulator.compiled_procedure
-    compiled.cache_clear()
+@st.composite
+def _same_structure(draw):
+    """Two procedures that differ only in their limits."""
+    first = draw(_procedures())
+    limited = tuple(Rule(r.kind, r.n, draw(_limits)) for r in first.rules)
+    return first, Procedure(limited, first.operators)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _same_structure(),
+    st.sampled_from([1, 2]),
+    st.integers(1, 4),
+    st.integers(1, 40),
+    st.sampled_from(CONDITIONS),
+    st.integers(1, 2**31 - 2),
+)
+def test_procedures_of_one_structure_share_a_loop(pair, levels, per_level, runs, condition, seed):
+    loops = [simulator.run_loop(p, levels, per_level) for p in pair]
+    assert loops[0].__code__ is loops[1].__code__
+    series = _normals(seed, levels * per_level * runs)
+    for procedure in pair:
+        _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
+
+
+@st.composite
+def _single_values(draw):
+    """Procedures of S(1, x) rules only, which read one value each."""
+    single = st.builds(Rule, st.just(RuleKind.SINGLE_VALUE), st.just(1), _limits)
+    singles = draw(st.lists(single, min_size=1, max_size=6))
+    return Procedure(tuple(singles), tuple(draw(_operators) for _ in singles[1:]))
+
+
+@pytest.mark.parametrize("levels", [1, 2])
+@pytest.mark.parametrize("per_level", [1, 2, 3, 4])
+@settings(max_examples=40, deadline=None)
+@given(
+    procedure=_single_values(),
+    runs=st.integers(1, 40),
+    condition=st.sampled_from(CONDITIONS),
+    seed=st.integers(1, 2**31 - 2),
+)
+def test_n1_loops_keep_no_window(levels, per_level, procedure, runs, condition, seed):
+    """Rules that read one value read only their run's: no slot, no fill count."""
+    names = simulator.run_loop(procedure, levels, per_level).__code__.co_varnames
+    assert not [name for name in names if name == "f" or name.startswith("w")]
+    series = _normals(seed, levels * per_level * runs)
+    _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
+
+
+def test_compiled_loop_cache_is_bounded(monkeypatch):
+    """One compile per structure, and the cache holds the
+    ``COMPILED_STRUCTURES`` structures used last."""
+    bound = 8
+    monkeypatch.setattr(rules, "COMPILED_STRUCTURES", bound)
+    monkeypatch.setattr(rules, "structure_cache", OrderedDict())
+    compiled = []
+
+    class Counted(simulator.CompiledProcedure):
+        __slots__ = ()
+
+        def __init__(self, procedure, levels, per_level):
+            compiled.append(procedure)
+            super().__init__(procedure, levels, per_level)
+
+    monkeypatch.setattr(simulator, "CompiledProcedure", Counted)
     plan = SimulationPlan(measurements_per_level=8, levels=1)
     pool = DeviatePool(_normals(7, 8), new_stream(7, 4))
-    bound = simulator.COMPILED_PROCEDURES
-    for i in range(2 * bound):  # 2 * bound distinct procedures
-        high, low = divmod(i, 63)
-        rules = (Rule(RuleKind.MEAN, 2, 0.1 * low), Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * high))
-        procedure = Procedure(rules, (Operator(OR),))
-        for condition in CONDITIONS:  # an estimate compiles once for its three conditions
-            simulate_condition(procedure, plan, condition, pool)
-        assert compiled.cache_info().currsize <= bound
-    info = compiled.cache_info()
-    assert info.currsize == bound
-    assert (info.misses, info.hits) == (2 * bound, 4 * bound)
+
+    def structure(i, limit):  # distinct for i < 24
+        mean = Rule(RuleKind.MEAN, 2 + i % 3, limit)
+        single = Rule(RuleKind.SINGLE_VALUE, 1 + i // 3 % 4, 2.0)
+        return Procedure((mean, single), (Operator(OR, i // 12),))
+
+    for i in range(2 * bound):
+        for limit in (0.5, 3.5):  # two procedures of each structure
+            for condition in CONDITIONS:
+                simulate_condition(structure(i, limit), plan, condition, pool)
+        assert len(rules.structure_cache) == min(i + 1, bound)
+    assert compiled == [structure(i, 0.5) for i in range(2 * bound)]
+    # Structures bound..2 * bound - 1 are cached, the first least recently
+    # used until it runs again; then a new one evicts the second.
+    for i in (bound, 2 * bound, bound, bound + 1):
+        simulate_condition(structure(i, 1.0), plan, CONDITIONS[0], pool)
+    assert compiled[2 * bound :] == [structure(2 * bound, 1.0), structure(bound + 1, 1.0)]

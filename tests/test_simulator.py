@@ -179,8 +179,33 @@ def test_run_loop_overrun_raises_through_more():
     pool = DeviatePool([1.0] * 18000, new_stream(1, 9))
     run = simulator.CompiledProcedure(procedure, 2, 1).run
     with pytest.raises(InvalidArgumentError, match="restoration needs 100008 deviates"):
-        run(pool.series, 1.0, 0.0, 9000, pool.restore, pool.more)
+        run(pool.series, 9000, pool.restore, pool.more)
     assert len(pool.restore) == STREAM_JUMP - STREAM_JUMP % 12  # nothing past the budget
+
+
+def test_pool_scales_its_series_once_per_condition():
+    series = [0.5, -0.0, 0.0, -1.25, 3.1, 5e-324, -7.2, 1.4658814763242407]
+    pool = DeviatePool(series, new_stream(1, 9))
+    # -0.0 and 0.0 shift a deviate of -0.0 to different zeros.
+    for k, delta in ((1.0, 0.0), (1.0, -0.0), (2.312959384173155, 0.0), (1.0, 3.4945)):
+        xs = pool.scaled(k, delta)
+        assert [x.hex() for x in xs] == [(v * k + delta).hex() for v in series]
+        assert pool.scaled(k, delta) is xs
+
+
+def test_every_loop_on_a_pool_reads_its_one_scaled_list(sodium_critical):
+    pools = draw_condition_pools(new_stream(7, 16), 200)
+    procedures = [S_1_24, parse_procedure("1_2.5s/2_2.0s/R_4s/4_1s"), Procedure()]
+    for procedure in procedures * 2:
+        estimate_performance(procedure, _plan(mpl=200), sodium_critical, pools)
+    conditions = {
+        "in_control": (1.0, 0.0),
+        "random": (sodium_critical.k_re, 0.0),
+        "systematic": (1.0, sodium_critical.delta_se),
+    }
+    for name, (k, delta) in conditions.items():
+        [xs] = pools[name]._scaled.values()  # one list per condition served
+        assert [x.hex() for x in xs] == [(v * k + delta).hex() for v in pools[name].series]
 
 
 def test_budget_errors():
