@@ -65,6 +65,10 @@ def report_dict(obj) -> dict:
     )
 
 
+# Uniforms a crossover draws for its cuts, by kind.
+_CUTS = {"single_point": 1, "two_point": 2}
+
+
 def _is_schedule_entry(entry) -> bool:
     """A (generation, rate) pair: an integer >= 0 and a number in [0, 1]."""
     if not isinstance(entry, (tuple, list)) or len(entry) != 2:
@@ -93,7 +97,7 @@ class GaParams:
             raise InvalidArgumentError("p_crossover must be a probability")
         if self.generations < 0:
             raise InvalidArgumentError("generations must be >= 0")
-        if self.crossover_kind not in ("single_point", "two_point"):
+        if self.crossover_kind not in _CUTS:
             raise InvalidArgumentError(
                 f"unknown crossover kind {self.crossover_kind!r}"
             )
@@ -178,21 +182,15 @@ def _shuffle(items: list, rng: RandomStream) -> None:
 
 
 def _crossover(a: Genome, b: Genome, params: GaParams, rng: RandomStream):
-    bits_a, bits_b = list(a.bits), list(b.bits)
-    length = len(bits_a)
-    if params.crossover_kind == "single_point":
-        cut = 1 + int(rng.next_uniform() * (length - 1))
-        child1 = bits_a[:cut] + bits_b[cut:]
-        child2 = bits_b[:cut] + bits_a[cut:]
-    else:
-        c1 = 1 + int(rng.next_uniform() * (length - 1))
-        c2 = 1 + int(rng.next_uniform() * (length - 1))
-        lo, hi = min(c1, c2), max(c1, c2)
-        child1 = bits_a[:lo] + bits_b[lo:hi] + bits_a[hi:]
-        child2 = bits_b[:lo] + bits_a[lo:hi] + bits_b[hi:]
+    """Swap the bits between two cuts; a single-point cut is a two-point
+    cut whose second cut is the genome's end."""
+    length = len(a.bits)
+    cuts = [1 + int(rng.next_uniform() * (length - 1))
+            for _ in range(_CUTS[params.crossover_kind])]
+    lo, hi = sorted(cuts + [length])[:2]
     return (
-        Genome(tuple(child1), a.layout),
-        Genome(tuple(child2), a.layout),
+        Genome(a.bits[:lo] + b.bits[lo:hi] + a.bits[hi:], a.layout),
+        Genome(b.bits[:lo] + a.bits[lo:hi] + b.bits[hi:], a.layout),
     )
 
 
@@ -260,25 +258,16 @@ def crowding_generation(
     return next_population
 
 
-def _mutating_generations(params: GaParams) -> int:
-    """Generations in [1, params.generations] whose mutation rate is > 0."""
-    ends = [start for start, _ in params.mutation_schedule[1:]] + [params.generations + 1]
-    return sum(
-        max(0, min(end, params.generations + 1) - max(start, 1))
-        for (start, rate), end in zip(params.mutation_schedule, ends)
-        if rate > 0
-    )
-
-
 def operator_draws(layout: GenomeLayout, params: GaParams) -> int:
     """Most uniforms a run draws from the operator stream: the initial
     population, then per generation the shuffle, a crossover draw and the
     cut(s) for every pair, and, while the rate is > 0, one draw per bit of
     every child."""
-    cuts = 1 if params.crossover_kind == "single_point" else 2
+    cuts = _CUTS[params.crossover_kind]
     per_generation = params.population - 1 + params.population // 2 * (1 + cuts)
+    mutating = sum(params.mutation_rate(g) > 0 for g in range(1, params.generations + 1))
     bits = params.population * genome_length(layout)
-    return bits * (1 + _mutating_generations(params)) + params.generations * per_generation
+    return bits * (1 + mutating) + params.generations * per_generation
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
-from .rules import MAX_RULES, Operator, OperatorKind, Procedure, Rule, RuleKind, min_n
+from .rules import (
+    MAX_RULES, Operator, OperatorKind, Procedure, Rule, RuleKind, check_shape, min_n,
+)
 
 RULE_BITS = 11
 OP_BITS = 3
@@ -37,14 +39,7 @@ class GenomeLayout:
     def __post_init__(self):
         if not 1 <= self.q <= MAX_RULES:
             raise InvalidArgumentError(f"q must be in [1, {MAX_RULES}], got {self.q}")
-        if self.fixed_levels not in (1, 2):
-            raise InvalidArgumentError(
-                f"fixed_levels must be 1 or 2, got {self.fixed_levels}"
-            )
-        if not 1 <= self.fixed_per_level <= 4:
-            raise InvalidArgumentError(
-                f"fixed_per_level must be in [1, 4], got {self.fixed_per_level}"
-            )
+        check_shape(self.fixed_levels, self.fixed_per_level, ("fixed_levels", "fixed_per_level"))
 
 
 @dataclass(frozen=True)
@@ -85,37 +80,26 @@ def _int_to_bits(value: int, width: int) -> tuple:
 
 
 def decode(genome: Genome) -> Procedure:
-    """Translate a bit string into a Procedure. Total on well-formed lengths."""
+    """Translate a bit string into a Procedure: the enabled rule slots, and the
+    operator slot before each after the first. Total on well-formed lengths."""
     layout = genome.layout
     bits = genome.bits
     q = layout.q
-
-    slots = []
-    for i in range(q):
-        base = RULE_BITS * i
-        flag = bits[base]
-        kind = _KIND_ORDER[_bits_to_int(bits[base + 1 : base + 3])]
-        n_code = _bits_to_int(bits[base + 3 : base + 5])
-        limit_code = _bits_to_int(bits[base + 5 : base + 11])
-        n = max(min_n(kind), n_code + 1)
-        slots.append((flag, Rule(kind, n, round(0.1 * limit_code, 1))))
-
     op_base = RULE_BITS * q
-    op_slots = []
-    for j in range(q - 1):
-        base = op_base + OP_BITS * j
-        kind = OperatorKind.OR if bits[base] else OperatorKind.AND
-        priority = _bits_to_int(bits[base + 1 : base + 3])
-        op_slots.append(Operator(kind, priority))
 
     rules, operators = [], []
-    for i, (flag, rule) in enumerate(slots):
-        if not flag:
+    for i in range(q):
+        base = RULE_BITS * i
+        if not bits[base]:
             continue
         if rules:
             # operator slot i-1 sits immediately before rule slot i
-            operators.append(op_slots[i - 1])
-        rules.append(rule)
+            op = op_base + OP_BITS * (i - 1)
+            kind = OperatorKind.OR if bits[op] else OperatorKind.AND
+            operators.append(Operator(kind, _bits_to_int(bits[op + 1 : op + 3])))
+        kind = _KIND_ORDER[_bits_to_int(bits[base + 1 : base + 3])]
+        n = max(min_n(kind), _bits_to_int(bits[base + 3 : base + 5]) + 1)
+        rules.append(Rule(kind, n, round(0.1 * _bits_to_int(bits[base + 5 : base + 11]), 1)))
 
     tail = op_base + OP_BITS * (q - 1)
     if layout.optimize_levels:

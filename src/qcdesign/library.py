@@ -47,13 +47,10 @@ def parse_procedure(text: str) -> Procedure:
         raise ProcedureParseError("empty procedure text")
     if stripped.upper() == "NONE":
         return Procedure()
-    if _looks_westgard(stripped):
-        return _parse_westgard(stripped, text)
+    matches = [_WESTGARD_TERM.match(part.strip()) for part in stripped.split("/")]
+    if all(matches):
+        return _parse_westgard(matches, text)
     return _parse_canonical(text)
-
-
-def _looks_westgard(text: str) -> bool:
-    return all(_WESTGARD_TERM.match(part.strip()) for part in text.split("/"))
 
 
 def _check_rule_count(count: int) -> None:
@@ -61,13 +58,12 @@ def _check_rule_count(count: int) -> None:
         raise ProcedureParseError(f"a procedure holds at most {MAX_RULES} rules, got {count}")
 
 
-def _parse_westgard(stripped: str, original: str) -> Procedure:
-    _check_rule_count(stripped.count("/") + 1)
+def _parse_westgard(matches: list, original: str) -> Procedure:
+    """The OR chain of the terms that ``matches`` matched."""
+    _check_rule_count(len(matches))
     rules = []
-    for part in stripped.split("/"):
-        term = part.strip()
-        match = _WESTGARD_TERM.match(term)
-        count, limit = match.groups()
+    for match in matches:
+        term, (count, limit) = match.string, match.groups()
         kind = RuleKind.RANGE if count is None else RuleKind.SINGLE_VALUE
         rules.append(_make_rule(kind, count or "2", limit, term, original.find(term)))
     operators = tuple(Operator(OperatorKind.OR, 0) for _ in rules[1:])

@@ -16,9 +16,9 @@ associate left to right.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
@@ -101,16 +101,21 @@ class Procedure:
                 f"{len(self.rules)} rules need {expected} operators, "
                 f"got {len(self.operators)}"
             )
-        if self.levels is not None and self.levels not in (1, 2):
-            raise InvalidArgumentError(f"levels must be 1 or 2, got {self.levels}")
-        if self.per_level is not None and not 1 <= self.per_level <= 4:
-            raise InvalidArgumentError(
-                f"per_level must be in [1, 4], got {self.per_level}"
-            )
+        shape = [1 if value is None else value for value in (self.levels, self.per_level)]
+        check_shape(*shape, ("levels", "per_level"))
 
     @property
     def operator_count(self) -> int:
         return len(self.operators)
+
+
+def check_shape(levels: int, per_level: int, names: Sequence[str]) -> None:
+    """Reject a QC shape other than 1 or 2 levels of 1 to 4 measurements
+    each; ``names`` are the two fields' names for the message."""
+    if levels not in (1, 2):
+        raise InvalidArgumentError(f"{names[0]} must be 1 or 2, got {levels}")
+    if not 1 <= per_level <= 4:
+        raise InvalidArgumentError(f"{names[1]} must be in [1, 4], got {per_level}")
 
 
 @dataclass(frozen=True)
@@ -169,26 +174,12 @@ def define(name: str, params: str, body: Sequence[str]) -> Callable:
     return namespace[name]
 
 
-# Compiled code of this process by structure, least recently used first.
-# A key names a structure only (rule kinds and windows, operators, shape),
-# never a limit: the limits are parameters, so procedures that differ only
-# in their limits share one entry. The bound keeps a long design's memory
-# flat; an entry holds a few KB.
+# Entries in each cache of compiled code (``simulator.run_loop``, and
+# ``_holds`` for :func:`evaluate_expr`), keyed by structure only: rule kinds
+# and windows, operators, shape, never a limit. The limits are parameters,
+# so procedures that differ only in their limits share one entry. The
+# bound keeps a long design's memory flat; an entry holds a few KB.
 COMPILED_STRUCTURES = 4096
-structure_cache: OrderedDict = OrderedDict()
-
-
-def by_structure(key, build: Callable):
-    """``build()`` for a structure key, built once while the key stays
-    among the ``COMPILED_STRUCTURES`` most recently used."""
-    value = structure_cache.get(key)
-    if value is None:
-        value = structure_cache[key] = build()
-        if len(structure_cache) > COMPILED_STRUCTURES:
-            structure_cache.popitem(last=False)
-    else:
-        structure_cache.move_to_end(key)
-    return value
 
 
 def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
@@ -246,10 +237,14 @@ def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
         values = [f"w[{-i}]" for i in range(rule.n, 0, -1)]
         return f"len(w) >= {rule.n} and {RULE_SOURCE[rule.kind](values, f'c{len(bounds) - 1}')}"
 
-    body = [*boolean_source(expr, leaf, "    "), "    return t"]
-    params = ", ".join(["w", *(f"c{i}" for i in range(len(bounds)))])
-    holds = by_structure("\n".join(body), lambda: define("holds", params, body))
-    return holds(window, *bounds)
+    body = "\n".join([*boolean_source(expr, leaf, "    "), "    return t"])
+    return _holds(body, len(bounds))(window, *bounds)
+
+
+@lru_cache(maxsize=COMPILED_STRUCTURES)
+def _holds(body: str, count: int) -> Callable:
+    """``holds(w, c0, .., c{count - 1})`` with the given body source."""
+    return define("holds", ", ".join(["w", *(f"c{i}" for i in range(count))]), [body])
 
 
 def canonical_notation(procedure: Procedure) -> str:

@@ -16,7 +16,7 @@ Run loops are generated as Python source, one per structure and QC shape
 (:class:`CompiledProcedure`): the structure is each rule's kind and
 window and the operators, and the rules' bounds are the loop's
 parameters, so procedures that differ only in their limits share one
-compiled loop (``rules.by_structure``). A loop reads its run's
+compiled loop (:func:`run_loop`). A loop reads its run's
 measurements by name, keeps in locals only the older window values that
 some test reads, and tests each rule with its ``rules.RULE_SOURCE``
 template. A pool scales its series once per condition, for every loop
@@ -31,14 +31,15 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
-from types import FunctionType
+from functools import lru_cache
 from typing import Callable, Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import STREAM_JUMP, RandomStream, new_stream
 from .rules import (
-    N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, bound, build_expr, by_structure, define,
+    COMPILED_STRUCTURES, N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, bound, build_expr,
+    check_shape, define,
 )
 
 # Substream offsets of a simulation's base stream, one per error
@@ -85,12 +86,7 @@ class SimulationPlan:
                 f"measurements_per_level must be in [1, {MAX_MEASUREMENTS_PER_LEVEL}], "
                 f"got {self.measurements_per_level}"
             )
-        if self.levels not in (1, 2):
-            raise InvalidArgumentError(f"levels must be 1 or 2, got {self.levels}")
-        if not 1 <= self.per_level_per_run <= 4:
-            raise InvalidArgumentError(
-                f"per_level_per_run must be in [1, 4], got {self.per_level_per_run}"
-            )
+        check_shape(self.levels, self.per_level_per_run, ("levels", "per_level_per_run"))
 
 
 @dataclass(frozen=True)
@@ -141,12 +137,12 @@ class DeviatePool:
 
 class CompiledProcedure:
     """The run loop of a procedure's structure for one QC shape, generated
-    and compiled: ``run(xs, runs, restore, more)`` counts the rejected runs
-    of the measurements ``xs``, each rejection reloading the windows,
-    oldest first, from the next values of the list ``restore``; when it
-    runs short, ``more(end)`` extends it to ``end`` values. Each rule's
-    bound is a parameter, with the procedure's as defaults, so the loop
-    serves every procedure of the structure (:func:`run_loop`)."""
+    and compiled: ``run(xs, runs, restore, more, *bounds)`` counts the
+    rejected runs of the measurements ``xs``, each rejection reloading the
+    windows, oldest first, from the next values of the list ``restore``;
+    when it runs short, ``more(end)`` extends it to ``end`` values. The
+    rules' bounds are the last parameters, so the loop serves every
+    procedure of the structure (:func:`run_loop`)."""
 
     __slots__ = ("run",)
 
@@ -205,16 +201,14 @@ class CompiledProcedure:
               for names, new in zip(slots, newest) if names),
             f"    return o // {reload}",
         ])
-        self.run.__defaults__ = tuple(map(bound, rules))
 
 
-def run_loop(procedure: Procedure, levels: int, per_level: int) -> Callable:
-    """The run loop of ``procedure`` for a QC shape: the compiled loop of
-    its structure, with its own bounds as defaults."""
-    rules = procedure.rules
-    key = (tuple((r.kind, r.n) for r in rules), procedure.operators, levels, per_level)
-    run = by_structure(key, lambda: CompiledProcedure(procedure, levels, per_level)).run
-    return FunctionType(run.__code__, run.__globals__, "run", tuple(map(bound, rules)))
+@lru_cache(maxsize=COMPILED_STRUCTURES)
+def run_loop(structure: tuple, operators: tuple, levels: int, per_level: int) -> Callable:
+    """The compiled run loop of a structure, each rule's (kind, n) joined
+    by ``operators``, for a QC shape."""
+    rules = tuple(Rule(kind, n, 0.0) for kind, n in structure)
+    return CompiledProcedure(Procedure(rules, operators), levels, per_level).run
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -248,8 +242,9 @@ def simulate_condition(
     if len(pool.series) < per_run * runs:
         raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(pool.series)}")
     xs = pool.scaled(condition.sd_multiplier, condition.shift)
-    rejected = run_loop(procedure, levels, per_level)(xs, runs, pool.restore, pool.more)
-    return rejected / runs
+    rules = procedure.rules
+    run = run_loop(tuple((r.kind, r.n) for r in rules), procedure.operators, levels, per_level)
+    return run(xs, runs, pool.restore, pool.more, *map(bound, rules)) / runs
 
 
 def estimate_performance(
@@ -292,9 +287,11 @@ def draw_condition_pools(
     return pools
 
 
-# The deviate pools of the last (seed, stream id, size) key this process
-# used. A worker keeps them between tasks, so it draws them once per key.
-_last_pools: list = [None, None]
+@lru_cache(maxsize=1)
+def _pools(seed: int, stream_id: int, size: int) -> dict:
+    """The condition pools of stream ``stream_id`` of ``seed``. A worker
+    keeps the last key's between tasks, so it draws them once per key."""
+    return draw_condition_pools(new_stream(seed, stream_id), size)
 
 
 def estimate_task(task) -> list:
@@ -302,10 +299,8 @@ def estimate_task(task) -> list:
     stream_id)``, all on the condition pools of stream ``stream_id`` of
     ``seed``, so the procedures are paired on common random numbers."""
     procedures, plan, critical, seed, stream_id = task
-    key = (seed, stream_id, plan.measurements_per_level)
-    if _last_pools[0] != key:
-        _last_pools[:] = [key, draw_condition_pools(new_stream(seed, stream_id), key[2])]
-    return [estimate_performance(p, plan, critical, _last_pools[1]) for p in procedures]
+    pools = _pools(seed, stream_id, plan.measurements_per_level)
+    return [estimate_performance(p, plan, critical, pools) for p in procedures]
 
 
 @contextmanager
@@ -326,7 +321,7 @@ def worker_map(threads: int, tasks: int):
         try:
             yield lambda fn, items: [fn(item) for item in items]
         finally:
-            _last_pools[:] = [None, None]
+            _pools.cache_clear()
         return
     import multiprocessing  # only when needed: it slows start-up
 

@@ -45,7 +45,8 @@ def sign_test(a: Sequence[float], b: Sequence[float]) -> SignTestResult:
     if n == 0:
         return SignTestResult(p_value=1.0, n_effective=0, below=0, ties_only=True)
     tail = min(below, above)
-    cdf = sum(math.comb(n, i) for i in range(tail + 1)) * 0.5**n
+    # int / int is correctly rounded, and never overflows on a large sum
+    cdf = sum(math.comb(n, i) for i in range(tail + 1)) / 2**n
     return SignTestResult(
         p_value=min(1.0, 2.0 * cdf), n_effective=n, below=below, ties_only=False
     )

@@ -7,6 +7,7 @@ from qcdesign.ga import (
     GaParams,
     Individual,
     PopulationEvaluator,
+    _crossover,
     crowding_generation,
     operator_draws,
     run_design,
@@ -267,3 +268,46 @@ def test_operator_draws_exact_when_every_pair_crosses(monkeypatch, sodium_assay,
     run_design(LAYOUT, plan, sodium_assay, ObjectiveConfig(), params)
     # initial population, 4 shuffles and pair draws, mutation in generations 2-3
     assert streams[50].draws == operator_draws(LAYOUT, params)
+
+
+class _StubStream:
+    """Hands out the given uniforms in order and counts them."""
+
+    def __init__(self, *uniforms):
+        self.uniforms = list(uniforms)
+        self.draws = 0
+
+    def next_uniform(self):
+        self.draws += 1
+        return self.uniforms.pop(0)
+
+
+@pytest.mark.parametrize(
+    "kind, uniforms, segments",
+    [
+        # one cut at 1 + int(u * 39), the second at the genome's end
+        ("single_point", (0.3,), (12, 28, 0)),
+        ("single_point", (0.0,), (1, 39, 0)),
+        ("single_point", (0.999999,), (39, 1, 0)),
+        # two cuts, in either order; equal cuts swap nothing
+        ("two_point", (0.7, 0.2), (8, 20, 12)),
+        ("two_point", (0.2, 0.7), (8, 20, 12)),
+        ("two_point", (0.5, 0.5), (20, 0, 20)),
+        ("two_point", (0.0, 0.999999), (1, 38, 1)),
+    ],
+)
+def test_crossover_children_and_draws(kind, uniforms, segments):
+    """Child one is parent a's bits outside the cuts and b's between them;
+    child two the reverse. A single-point cut draws one uniform, a
+    two-point cut two."""
+    length = 40  # LAYOUT's genome length
+    a = Genome(tuple(i % 2 for i in range(length)), LAYOUT)
+    b = Genome(tuple(1 - i % 2 for i in range(length)), LAYOUT)
+    rng = _StubStream(*uniforms, 0.5)
+    child1, child2 = _crossover(a, b, _params(crossover_kind=kind), rng)
+    head, middle, tail = segments
+    assert head + middle + tail == length
+    assert child1.bits == a.bits[:head] + b.bits[head : head + middle] + a.bits[head + middle :]
+    assert child2.bits == b.bits[:head] + a.bits[head : head + middle] + b.bits[head + middle :]
+    assert child1.layout == child2.layout == LAYOUT
+    assert rng.draws == len(uniforms) and rng.uniforms == [0.5]

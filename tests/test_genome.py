@@ -1,10 +1,12 @@
 """Bit-string codec tests."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.genome import (
+    OP_BITS,
+    RULE_BITS,
     Genome,
     GenomeLayout,
     decode,
@@ -157,3 +159,39 @@ def test_encode_decode_encode_idempotent(procedure):
     first = encode(procedure, LAYOUT)
     again = encode(decode(first), LAYOUT)
     assert first == again
+
+
+@st.composite
+def _genomes_and_ignored_bits(draw):
+    """A genome of any layout, and the indices of the bits decode ignores:
+    every field of a disabled rule slot, and every operator slot that is
+    not just before an enabled rule slot after the first enabled one."""
+    layout = GenomeLayout(
+        q=draw(st.integers(1, 5)),
+        optimize_levels=draw(st.booleans()),
+        optimize_per_level=draw(st.booleans()),
+        fixed_levels=draw(st.sampled_from([1, 2])),
+        fixed_per_level=draw(st.integers(1, 4)),
+    )
+    bits = draw(st.lists(st.integers(0, 1), min_size=genome_length(layout),
+                         max_size=genome_length(layout)))
+    q = layout.q
+    flags = [bits[RULE_BITS * i] for i in range(q)]
+    ignored = [
+        RULE_BITS * i + field
+        for i in range(q) if not flags[i] for field in range(1, RULE_BITS)
+    ]
+    for j in range(q - 1):  # operator slot j sits before rule slot j + 1
+        if not (flags[j + 1] and any(flags[: j + 1])):
+            start = RULE_BITS * q + OP_BITS * j
+            ignored += range(start, start + OP_BITS)
+    return Genome(tuple(bits), layout), ignored
+
+
+@given(_genomes_and_ignored_bits(), st.data())
+def test_decode_ignores_disabled_slots(case, data):
+    genome, ignored = case
+    assume(ignored)
+    flips = data.draw(st.sets(st.sampled_from(ignored), min_size=1))
+    bits = tuple(bit ^ (i in flips) for i, bit in enumerate(genome.bits))
+    assert decode(Genome(bits, genome.layout)) == decode(genome)

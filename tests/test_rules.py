@@ -1,6 +1,6 @@
 """Rule evaluation, expression building, notation, and proposition counting."""
 
-from collections import OrderedDict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -111,14 +111,14 @@ def test_evaluate_std_dev():
 
 
 def test_reference_evaluator_compiles_once_per_structure(monkeypatch):
-    cache = OrderedDict()
-    monkeypatch.setattr(qcdesign.rules, "structure_cache", cache)
+    cache = lru_cache(maxsize=None)(qcdesign.rules._holds.__wrapped__)
+    monkeypatch.setattr(qcdesign.rules, "_holds", cache)
     # |1.0 + 0.9| = 1.9 against the bounds 2 * x.
     results = [evaluate_rule(Rule(M, 2, x), [1.0, 0.9]) for x in (0.9, 0.95, 1.0)]
     assert results == [True, False, False]
-    assert len(cache) == 1
+    assert cache.cache_info().currsize == 1
     evaluate_rule(Rule(M, 3, 0.9), [1.0, 0.9])
-    assert len(cache) == 2
+    assert cache.cache_info().currsize == 2
 
 
 def test_bounds_are_products():
@@ -345,7 +345,7 @@ def _run_once(procedure, levels, values):
     level in turn, through the procedure's generated run loop."""
     compiled = CompiledProcedure(procedure, levels, len(values) // levels)
     pool = DeviatePool(values, new_stream(1, 9))
-    return compiled.run(values, 1, pool.restore, pool.more)
+    return compiled.run(values, 1, pool.restore, pool.more, *map(bound, procedure.rules))
 
 
 # A run holds at least one measurement, so these windows are not empty.

@@ -4,7 +4,7 @@ draws, for random procedures, for procedures that share a loop and for
 the worst shapes of 256 rules."""
 
 import sys
-from collections import OrderedDict
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -48,6 +48,12 @@ class RecordingPool(DeviatePool):
     def more(self, end):
         self.calls.append(end)
         super().more(end)
+
+
+def _loop(procedure, levels, per_level):
+    """The run loop ``simulate_condition`` runs for ``procedure``."""
+    structure = tuple((rule.kind, rule.n) for rule in procedure.rules)
+    return simulator.run_loop(structure, procedure.operators, levels, per_level)
 
 
 def _normals(seed, count):
@@ -177,7 +183,7 @@ def _same_structure(draw):
     st.integers(1, 2**31 - 2),
 )
 def test_procedures_of_one_structure_share_a_loop(pair, levels, per_level, runs, condition, seed):
-    loops = [simulator.run_loop(p, levels, per_level) for p in pair]
+    loops = [_loop(p, levels, per_level) for p in pair]
     assert loops[0].__code__ is loops[1].__code__
     series = _normals(seed, levels * per_level * runs)
     for procedure in pair:
@@ -203,7 +209,7 @@ def _single_values(draw):
 )
 def test_n1_loops_keep_no_window(levels, per_level, procedure, runs, condition, seed):
     """Rules that read one value read only their run's: no slot, no fill count."""
-    names = simulator.run_loop(procedure, levels, per_level).__code__.co_varnames
+    names = _loop(procedure, levels, per_level).__code__.co_varnames
     assert not [name for name in names if name == "f" or name.startswith("w")]
     series = _normals(seed, levels * per_level * runs)
     _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
@@ -213,18 +219,9 @@ def test_compiled_loop_cache_is_bounded(monkeypatch):
     """One compile per structure, and the cache holds the
     ``COMPILED_STRUCTURES`` structures used last."""
     bound = 8
-    monkeypatch.setattr(rules, "COMPILED_STRUCTURES", bound)
-    monkeypatch.setattr(rules, "structure_cache", OrderedDict())
-    compiled = []
-
-    class Counted(simulator.CompiledProcedure):
-        __slots__ = ()
-
-        def __init__(self, procedure, levels, per_level):
-            compiled.append(procedure)
-            super().__init__(procedure, levels, per_level)
-
-    monkeypatch.setattr(simulator, "CompiledProcedure", Counted)
+    assert simulator.run_loop.cache_info().maxsize == rules.COMPILED_STRUCTURES
+    loops = lru_cache(maxsize=bound)(simulator.run_loop.__wrapped__)
+    monkeypatch.setattr(simulator, "run_loop", loops)
     plan = SimulationPlan(measurements_per_level=8, levels=1)
     pool = DeviatePool(_normals(7, 8), new_stream(7, 4))
 
@@ -237,10 +234,15 @@ def test_compiled_loop_cache_is_bounded(monkeypatch):
         for limit in (0.5, 3.5):  # two procedures of each structure
             for condition in CONDITIONS:
                 simulate_condition(structure(i, limit), plan, condition, pool)
-        assert len(rules.structure_cache) == min(i + 1, bound)
-    assert compiled == [structure(i, 0.5) for i in range(2 * bound)]
+        info = loops.cache_info()  # each miss compiles a loop
+        assert (info.misses, info.hits) == (i + 1, 5 * (i + 1))
+        assert info.currsize == min(i + 1, bound)
     # Structures bound..2 * bound - 1 are cached, the first least recently
     # used until it runs again; then a new one evicts the second.
+    compiled = []
     for i in (bound, 2 * bound, bound, bound + 1):
+        misses = loops.cache_info().misses
         simulate_condition(structure(i, 1.0), plan, CONDITIONS[0], pool)
-    assert compiled[2 * bound :] == [structure(2 * bound, 1.0), structure(bound + 1, 1.0)]
+        compiled += [i] * (loops.cache_info().misses - misses)
+    assert compiled == [2 * bound, bound + 1]
+    assert loops.cache_info().currsize == bound

@@ -12,7 +12,7 @@ from qcdesign.genome import GenomeLayout
 from qcdesign.library import parse_procedure
 from qcdesign.objective import ObjectiveConfig
 from qcdesign.rng import STREAM_JUMP, new_stream
-from qcdesign.rules import Procedure, Rule, RuleKind
+from qcdesign.rules import Procedure, Rule, RuleKind, bound
 from qcdesign.simulator import (
     DeviatePool,
     ErrorCondition,
@@ -179,7 +179,7 @@ def test_run_loop_overrun_raises_through_more():
     pool = DeviatePool([1.0] * 18000, new_stream(1, 9))
     run = simulator.CompiledProcedure(procedure, 2, 1).run
     with pytest.raises(InvalidArgumentError, match="restoration needs 100008 deviates"):
-        run(pool.series, 9000, pool.restore, pool.more)
+        run(pool.series, 9000, pool.restore, pool.more, *map(bound, procedure.rules))
     assert len(pool.restore) == STREAM_JUMP - STREAM_JUMP % 12  # nothing past the budget
 
 
@@ -232,8 +232,9 @@ def pool_draws(monkeypatch):
         return real(base_stream, size)
 
     monkeypatch.setattr(simulator, "draw_condition_pools", counted)
-    monkeypatch.setattr(simulator, "_last_pools", [None, None])
-    return draws
+    simulator._pools.cache_clear()
+    yield draws
+    simulator._pools.cache_clear()  # pools drawn through the counting wrapper
 
 
 def test_task_shares_its_pools_across_procedures(pool_draws, sodium_critical):
@@ -252,7 +253,7 @@ def test_compare_draws_once_per_replicate(pool_draws, sodium_critical):
     named = [(t, parse_procedure(t)) for t in ("1_2.5s", "1_3.0s", "1_2.5s/2_2.0s")]
     compare_procedures(named, _plan(mpl=50), sodium_critical, replicates=3, threads=1)
     assert pool_draws == [(12345, 0), (12345, 8), (12345, 16)]
-    assert simulator._last_pools == [None, None]
+    assert simulator._pools.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("fresh", [False, True])
@@ -269,4 +270,4 @@ def test_design_draws_once_per_simulation_stream(pool_draws, sodium_assay, fresh
         assert pool_draws == [(12345, 100 + 8 * g) for g in range(4)]
     else:
         assert pool_draws == [(12345, 0)]
-    assert simulator._last_pools == [None, None]
+    assert simulator._pools.cache_info().currsize == 0

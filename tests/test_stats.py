@@ -72,6 +72,16 @@ def test_sign_test_matches_exact_enumeration(below, above, ties):
     )
 
 
+def test_sign_test_past_the_float_range_of_its_binomial_sums():
+    """From n near 1,100 the exact sums exceed a float; the p-value must not."""
+    a = [0] * 600 + [1] * 600
+    assert sign_test(a, a[::-1]).p_value == 1.0
+    split = sign_test([0] * 700 + [1] * 400, [1] * 700 + [0] * 400)
+    assert split.n_effective == 1100
+    assert split.p_value == _exact_two_sided(700, 400)
+    assert 0.0 < split.p_value < 1e-15
+
+
 def test_summarize():
     assert summarize([1.0, 1.0, 1.0]) == (1.0, 0.0)
     mean, sd = summarize([0.0, 2.0])
