@@ -163,7 +163,7 @@ def load_config(path: Optional[str] = None) -> JobConfig:
     if path is None:
         return cfg
     try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

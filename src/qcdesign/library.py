@@ -194,7 +194,7 @@ def builtin_library() -> list:
 def load_library_file(path) -> list:
     """Load `name = notation` lines; '#' starts a comment."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ProcedureParseError(f"{path}: not UTF-8 text: {exc}") from exc
     entries = []

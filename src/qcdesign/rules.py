@@ -167,9 +167,10 @@ def bound(rule: Rule) -> float:
     return rule.limit
 
 
-def define(name: str, params: str, body: Sequence[str]) -> Callable:
-    """Compile ``def name(params):`` with the given (indented) body lines."""
-    namespace: dict = {}
+def define(name: str, params: str, body: Sequence[str], **names) -> Callable:
+    """Compile ``def name(params):`` with the given (indented) body lines;
+    ``names`` are its globals."""
+    namespace: dict = dict(names)
     exec("\n".join([f"def {name}({params}):", *body]), namespace)
     return namespace[name]
 

@@ -20,10 +20,11 @@ compiled loop (:func:`run_loop`). A loop reads its run's
 measurements by name, keeps in locals only the older window values that
 some test reads, and tests each rule with its ``rules.RULE_SOURCE``
 template. A pool scales its series once per condition, for every loop
-that reads it. A rejection reloads the windows straight from the pool's
-list of restoration deviates, which the pool extends only when a loop
-reads past its end; every deviate comes from ``RandomStream.normals``
-batches.
+that reads it. A rejection reloads the windows with the next
+restoration deviates. The pool's first loop computes only the ones it
+reads, from the stream's state (:func:`restoration_source`); later loops
+read them from the pool's list, drawn in ``RandomStream.normals`` batches
+only when a loop reads past its end.
 """
 
 from __future__ import annotations
@@ -32,11 +33,12 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
-from .rng import STREAM_JUMP, RandomStream, new_stream
+from .rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, STREAM_JUMP, RandomStream, new_stream
+from .rng import inverse_normal_cdf
 from .rules import (
     COMPILED_STRUCTURES, N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, bound, build_expr,
     check_shape, define,
@@ -105,14 +107,17 @@ class DeviatePool:
     deviates drawn so far from a dedicated stream, and :meth:`more` draws
     the rest on demand. Sharing one pool across procedures pairs their
     simulations (common random numbers): every procedure reads the same
-    measurements and a prefix of the same restoration sequence.
+    measurements and a prefix of the same restoration sequence. Until a
+    loop reads the pool, ``origin`` is the restoration stream's state, from
+    which that lazy loop computes what it reads; then it is ``None``.
     """
 
-    __slots__ = ("series", "restore", "_restore_stream", "_scaled")
+    __slots__ = ("series", "restore", "origin", "_restore_stream", "_scaled")
 
     def __init__(self, series: Sequence[float], restore_stream: RandomStream):
         self.series = list(series)
         self.restore: list = []
+        self.origin = restore_stream.state
         self._restore_stream = restore_stream
         self._scaled: dict = {}
 
@@ -142,11 +147,14 @@ class CompiledProcedure:
     windows, oldest first, from the next values of the list ``restore``;
     when it runs short, ``more(end)`` extends it to ``end`` values. The
     rules' bounds are the last parameters, so the loop serves every
-    procedure of the structure (:func:`run_loop`)."""
+    procedure of the structure (:func:`run_loop`). The ``lazy`` form takes
+    the restoration stream's first state for ``restore``, jumps it over each
+    rejection's block, and calls ``more`` only past the stream's budget,
+    where it raises (see :func:`restoration_source`)."""
 
     __slots__ = ("run",)
 
-    def __init__(self, procedure: Procedure, levels: int, per_level: int):
+    def __init__(self, procedure: Procedure, levels: int, per_level: int, lazy: bool = False):
         rules = procedure.rules
         width = max((r.n for r in rules), default=1)
         xs = [f"x{j}" for j in range(levels * per_level)]
@@ -183,32 +191,69 @@ class CompiledProcedure:
             names[j] if j < len(names) else "_"
             for names in slots for j in range(width - 1, -1, -1)
         ]
-        params = ", ".join(["xs, runs, restore, more", *(f"c{i}" for i in range(len(rules)))])
+        # The lazy form keeps s, the restoration state after the last
+        # rejection's block, and sets p while that block's kept values wait:
+        # they are computed before a test reads a slot (only its line names
+        # a w), else those a shift carries on before the shift.
+        fill = {name: restoration_source(offset, reload)
+                for offset, name in enumerate(targets) if lazy and name != "_"}
+
+        def load(names) -> str:
+            values = ", ".join(map(fill.get, names))
+            return f"if p: p = 0; {', '.join(names)} = {values}" if names else "p = 0"
+
+        tests = boolean_source(build_expr(procedure), leaf, "        ")
+        shift = [
+            f"            {', '.join(names)} = {', '.join(new[: len(names)])}"
+            for names, new in zip(slots, newest) if names
+        ]
+        if fill:
+            tests = [
+                f"{line[: len(line) - len(line.lstrip())]}{load(fill)}\n{line}" if "w" in line
+                else line for line in tests
+            ]
+            carried = [v for n, new in zip(slots, newest) for v in new[: len(n)] if v in fill]
+            shift.insert(0, f"            {load(carried)}")
+        reject = [
+            f"            o += {reload}",
+            f"            if o > {STREAM_JUMP}: more(o)",
+            *([f"            s = s * {pow(DEFAULT_MULTIPLIER, reload, DEFAULT_MODULUS)}"
+               f" % {DEFAULT_MODULUS}; p = 1"] if fill else []),
+        ] if lazy else [
+            f"            if len(restore) < o + {reload}: more(o + {reload})",
+            *([f"            {', '.join(targets)} = restore[o:o + {reload}]"] if kept else []),
+            f"            o += {reload}",
+        ]
+        state = "s" if lazy else "restore"
+        params = ", ".join([f"xs, runs, {state}, more", *(f"c{i}" for i in range(len(rules)))])
         self.run = define("run", params, [
-            f"    {'f = ' if kept else ''}o = 0",
+            f"    {'f = ' if kept else ''}{'p = ' if fill else ''}o = 0",
             *([f"    {' = '.join(kept)} = 0.0"] if kept else []),
             f"    it = iter(xs[:runs * {len(xs)}])",
             f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
             *(["        f += 1"] if kept else []),
-            *boolean_source(build_expr(procedure), leaf, "        "),
+            *tests,
             "        if t:",
-            f"            if len(restore) < o + {reload}:",
-            f"                more(o + {reload})",
-            *([f"            {', '.join(targets)} = restore[o:o + {reload}]"] if kept else []),
-            f"            o += {reload}",
+            *reject,
             *([f"            f = {width}", "        else:"] if kept else []),
-            *(f"            {', '.join(names)} = {', '.join(new[: len(names)])}"
-              for names, new in zip(slots, newest) if names),
+            *shift,
             f"    return o // {reload}",
-        ])
+        ], inverse_normal_cdf=inverse_normal_cdf)
+
+
+def restoration_source(offset: int, reload: int) -> str:
+    """Source of the deviate at ``offset`` of a block of ``reload``, from
+    ``s``, the state after the block, as :meth:`RandomStream.normals` draws it."""
+    back = pow(DEFAULT_MULTIPLIER, offset + 1 - reload, DEFAULT_MODULUS)
+    return f"inverse_normal_cdf(s * {back} % {DEFAULT_MODULUS} / {DEFAULT_MODULUS})"
 
 
 @lru_cache(maxsize=COMPILED_STRUCTURES)
-def run_loop(structure: tuple, operators: tuple, levels: int, per_level: int) -> Callable:
+def run_loop(structure: tuple, operators: tuple, levels: int, per_level: int, lazy=False):
     """The compiled run loop of a structure, each rule's (kind, n) joined
-    by ``operators``, for a QC shape."""
+    by ``operators``, for a QC shape, in the dense or the lazy form."""
     rules = tuple(Rule(kind, n, 0.0) for kind, n in structure)
-    return CompiledProcedure(Procedure(rules, operators), levels, per_level).run
+    return CompiledProcedure(Procedure(rules, operators), levels, per_level, lazy).run
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -243,8 +288,11 @@ def simulate_condition(
         raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(pool.series)}")
     xs = pool.scaled(condition.sd_multiplier, condition.shift)
     rules = procedure.rules
-    run = run_loop(tuple((r.kind, r.n) for r in rules), procedure.operators, levels, per_level)
-    return run(xs, runs, pool.restore, pool.more, *map(bound, rules)) / runs
+    origin, pool.origin = pool.origin, None  # the pool's first loop runs lazily
+    lazy = origin is not None
+    structure = tuple((r.kind, r.n) for r in rules)
+    run = run_loop(structure, procedure.operators, levels, per_level, lazy)
+    return run(xs, runs, origin if lazy else pool.restore, pool.more, *map(bound, rules)) / runs
 
 
 def estimate_performance(

@@ -130,6 +130,22 @@ def test_list_library_includes_user_file(capsys, tmp_path):
     assert "my pair" in names
 
 
+@pytest.mark.parametrize("fmt", ["doc", "csv"])
+def test_byte_order_mark_is_not_part_of_a_library_name(capsys, tmp_path, fmt):
+    extra = tmp_path / "extra.txt"
+    extra.write_bytes(b"\xef\xbb\xbfmy pair = M(2,1.9)\n")
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"library_files": [str(extra)]}))
+    code, out, _ = _run(capsys, "--config", str(cfg), "--format", fmt, "list-library")
+    assert code == EXIT_OK
+    if fmt == "doc":
+        names = [e["name"] for e in json.loads(out)["entries"]]
+    else:
+        names = [row["name"] for row in csv.DictReader(io.StringIO(out))]
+    assert "my pair" in names
+    assert not [name for name in names if "\ufeff" in name]
+
+
 def test_seed_override_changes_report(capsys):
     _, out_a, _ = _run(capsys, "--seed", "1", "evaluate", "1_2.4s")
     _, out_b, _ = _run(capsys, "--seed", "2", "evaluate", "1_2.4s")

@@ -61,6 +61,12 @@ def test_partial_override(tmp_path):
     assert cfg.replicates == 5
 
 
+def test_byte_order_mark_prefixed_config_loads(tmp_path):
+    path = tmp_path / "job.json"
+    path.write_bytes(b"\xef\xbb\xbf" + json.dumps({"replicates": 5}).encode())
+    assert load_config(str(path)).replicates == 5
+
+
 def test_unknown_keys_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(_write(tmp_path, {"assai": {}}))

@@ -50,10 +50,10 @@ class RecordingPool(DeviatePool):
         super().more(end)
 
 
-def _loop(procedure, levels, per_level):
+def _loop(procedure, levels, per_level, lazy=False):
     """The run loop ``simulate_condition`` runs for ``procedure``."""
     structure = tuple((rule.kind, rule.n) for rule in procedure.rules)
-    return simulator.run_loop(structure, procedure.operators, levels, per_level)
+    return simulator.run_loop(structure, procedure.operators, levels, per_level, lazy)
 
 
 def _normals(seed, count):
@@ -63,14 +63,17 @@ def _normals(seed, count):
 
 def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series):
     """simulate_condition and the oracle agree on the reject count, each on
-    its own fresh copy of the same pool. Nothing is drawn ahead, so the
-    product extends its pool on every rejection, to exactly the end of the
-    oracle's restoration slice."""
+    its own fresh copy of the same pool. The pool's first reader runs
+    lazily and draws nothing into it; a second reader gets the same count
+    and, with nothing drawn ahead, extends the pool on every rejection, to
+    exactly the end of the oracle's restoration slice."""
     shaped = Procedure(procedure.rules, procedure.operators, levels, per_level)
     plan = SimulationPlan(measurements_per_level=runs * per_level)
     product = RecordingPool(series, new_stream(1, 4))
     oracle = DeviatePool(series, new_stream(1, 4))
     fraction = simulate_condition(shaped, plan, condition, product)
+    assert product.calls == [] and product.restore == []
+    assert simulate_condition(shaped, plan, condition, product) == fraction
     requests = []
 
     def restore_slice(start, count):
@@ -106,6 +109,11 @@ def _procedures(draw):
 @settings(max_examples=300, deadline=None)
 @example(Procedure(), 2, 1, 1, CONDITIONS[2], 1)  # the empty procedure, one run
 @example(Procedure((Rule(RuleKind.RANGE, 4, 0.0),)), 1, 4, 1, CONDITIONS[1], 1)
+# Runs that are not rejected on S alone shift a reload no test read yet.
+@example(
+    Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 1.0), Rule(RuleKind.MEAN, 3, 0.5)), (Operator(AND),)),
+    1, 1, 2000, CONDITIONS[1], 7,
+)
 @given(
     _procedures(),
     st.sampled_from([1, 2]),
@@ -183,8 +191,9 @@ def _same_structure(draw):
     st.integers(1, 2**31 - 2),
 )
 def test_procedures_of_one_structure_share_a_loop(pair, levels, per_level, runs, condition, seed):
-    loops = [_loop(p, levels, per_level) for p in pair]
-    assert loops[0].__code__ is loops[1].__code__
+    for lazy in (False, True):
+        loops = [_loop(p, levels, per_level, lazy) for p in pair]
+        assert loops[0].__code__ is loops[1].__code__
     series = _normals(seed, levels * per_level * runs)
     for procedure in pair:
         _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
@@ -208,41 +217,59 @@ def _single_values(draw):
     seed=st.integers(1, 2**31 - 2),
 )
 def test_n1_loops_keep_no_window(levels, per_level, procedure, runs, condition, seed):
-    """Rules that read one value read only their run's: no slot, no fill count."""
+    """Rules that read one value read only their run's: no slot, no fill
+    count, and in the lazy form no pending flag."""
     names = _loop(procedure, levels, per_level).__code__.co_varnames
     assert not [name for name in names if name == "f" or name.startswith("w")]
+    names = _loop(procedure, levels, per_level, True).__code__.co_varnames
+    assert not [name for name in names if name in ("f", "p") or name.startswith("w")]
     series = _normals(seed, levels * per_level * runs)
     _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
 
 
 def test_compiled_loop_cache_is_bounded(monkeypatch):
-    """One compile per structure, and the cache holds the
-    ``COMPILED_STRUCTURES`` structures used last."""
+    """One compile per structure and form, and the cache holds the
+    ``COMPILED_STRUCTURES`` loops used last."""
     bound = 8
     assert simulator.run_loop.cache_info().maxsize == rules.COMPILED_STRUCTURES
-    loops = lru_cache(maxsize=bound)(simulator.run_loop.__wrapped__)
+    compiled, compile_uncached = [], simulator.run_loop.__wrapped__
+
+    def compile_loop(structure, operators, levels, per_level, lazy=False):
+        compiled.append((structure, operators, lazy))
+        return compile_uncached(structure, operators, levels, per_level, lazy)
+
+    loops = lru_cache(maxsize=bound)(compile_loop)
     monkeypatch.setattr(simulator, "run_loop", loops)
     plan = SimulationPlan(measurements_per_level=8, levels=1)
-    pool = DeviatePool(_normals(7, 8), new_stream(7, 4))
+
+    def fresh():
+        return DeviatePool(_normals(7, 8), new_stream(7, 4))
 
     def structure(i, limit):  # distinct for i < 24
         mean = Rule(RuleKind.MEAN, 2 + i % 3, limit)
         single = Rule(RuleKind.SINGLE_VALUE, 1 + i // 3 % 4, 2.0)
         return Procedure((mean, single), (Operator(OR, i // 12),))
 
-    for i in range(2 * bound):
+    def key(i, lazy):
+        procedure = structure(i, 0.0)
+        return tuple((r.kind, r.n) for r in procedure.rules), procedure.operators, lazy
+
+    for i in range(bound):
+        pool = fresh()  # its first loop is lazy, the five after it dense
         for limit in (0.5, 3.5):  # two procedures of each structure
             for condition in CONDITIONS:
                 simulate_condition(structure(i, limit), plan, condition, pool)
+        assert compiled[-2:] == [key(i, True), key(i, False)]
         info = loops.cache_info()  # each miss compiles a loop
-        assert (info.misses, info.hits) == (i + 1, 5 * (i + 1))
-        assert info.currsize == min(i + 1, bound)
-    # Structures bound..2 * bound - 1 are cached, the first least recently
-    # used until it runs again; then a new one evicts the second.
-    compiled = []
-    for i in (bound, 2 * bound, bound, bound + 1):
-        misses = loops.cache_info().misses
-        simulate_condition(structure(i, 1.0), plan, CONDITIONS[0], pool)
-        compiled += [i] * (loops.cache_info().misses - misses)
-    assert compiled == [2 * bound, bound + 1]
+        assert (info.misses, info.hits) == (2 * (i + 1), 4 * (i + 1))
+        assert info.currsize == min(2 * (i + 1), bound)
+    # Both forms of structures bound // 2..bound - 1 are cached, the first's
+    # lazy loop least recently used, then its dense loop until it runs
+    # again; then a new loop evicts the first's lazy one, and that one, run
+    # again, the second's.
+    compiled.clear()
+    first, new = bound // 2, bound
+    for i, lazy in ((first, False), (new, False), (first, True), (first + 1, False)):
+        simulate_condition(structure(i, 1.0), plan, CONDITIONS[0], fresh() if lazy else pool)
+    assert compiled == [key(new, False), key(first, True)]
     assert loops.cache_info().currsize == bound

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import qcdesign.simulator as simulator
 from qcdesign.error_model import single_value_power_oracle
@@ -11,7 +12,9 @@ from qcdesign.ga import GaParams, run_design
 from qcdesign.genome import GenomeLayout
 from qcdesign.library import parse_procedure
 from qcdesign.objective import ObjectiveConfig
-from qcdesign.rng import STREAM_JUMP, new_stream
+from qcdesign.rng import (
+    DEFAULT_MODULUS, DEFAULT_MULTIPLIER, MAX_STREAM_ID, STREAM_JUMP, inverse_normal_cdf, new_stream,
+)
 from qcdesign.rules import Procedure, Rule, RuleKind, bound
 from qcdesign.simulator import (
     DeviatePool,
@@ -181,6 +184,68 @@ def test_run_loop_overrun_raises_through_more():
     with pytest.raises(InvalidArgumentError, match="restoration needs 100008 deviates"):
         run(pool.series, 9000, pool.restore, pool.more, *map(bound, procedure.rules))
     assert len(pool.restore) == STREAM_JUMP - STREAM_JUMP % 12  # nothing past the budget
+
+
+def test_lazy_run_loop_overrun_raises_through_more(monkeypatch):
+    # The run above in the lazy form: every block is read by the next run,
+    # and none past the budget is computed or drawn into the pool.
+    procedure = Procedure((Rule(RuleKind.MEAN, 4, 0.0),))
+    stream = new_stream(1, 9)
+    pool = DeviatePool([1.0] * 18000, stream)
+    origin, computed = stream.state, []
+
+    def recorded(u):
+        computed.append(u)
+        return inverse_normal_cdf(u)
+
+    monkeypatch.setattr(simulator, "inverse_normal_cdf", recorded)
+    run = simulator.CompiledProcedure(procedure, 2, 1, lazy=True).run
+    with pytest.raises(InvalidArgumentError, match="restoration needs 100008 deviates"):
+        run(pool.series, 9000, pool.origin, pool.more, *map(bound, procedure.rules))
+    positions, state = {}, origin
+    for position in range(STREAM_JUMP):
+        state = DEFAULT_MULTIPLIER * state % DEFAULT_MODULUS
+        positions[state / DEFAULT_MODULUS] = position
+    # Each of the 8,333 blocks holds 8 kept values: 2 cross-level, 3 per level.
+    assert len(computed) == STREAM_JUMP // 12 * 8
+    assert max(positions[u] for u in computed) < STREAM_JUMP - STREAM_JUMP % 12
+    assert pool.restore == [] and stream.state == origin
+
+
+@pytest.mark.parametrize("lazy", [False, True])
+def test_run_loop_may_spend_the_whole_budget(lazy):
+    # M(4,0.0) on one level rejects every run from the fourth on, and each
+    # rejection reloads 8 values: 12,503 runs end exactly at STREAM_JUMP.
+    procedure = Procedure((Rule(RuleKind.MEAN, 4, 0.0),))
+    pool = DeviatePool([1.0] * 12503, new_stream(1, 9))
+    run = simulator.CompiledProcedure(procedure, 1, 1, lazy).run
+    restore = pool.origin if lazy else pool.restore
+    assert run(pool.series, 12503, restore, pool.more, *map(bound, procedure.rules)) == 12500
+    assert len(pool.restore) == (0 if lazy else STREAM_JUMP)
+
+
+@settings(max_examples=60, deadline=None)
+@example(seed=1, stream_id=MAX_STREAM_ID, width=4, levels=2, block=-1, offsets={0, 11})
+@given(
+    seed=st.integers(1, DEFAULT_MODULUS - 1),
+    stream_id=st.integers(0, MAX_STREAM_ID),
+    width=st.integers(1, 4),
+    levels=st.sampled_from([1, 2]),
+    block=st.integers(-1, STREAM_JUMP),
+    offsets=st.sets(st.integers(0, 11), min_size=1),
+)
+def test_lazy_block_values_are_the_streams(seed, stream_id, width, levels, block, offsets):
+    """Each kept value of a block, computed from the state after the block,
+    is the stream's normal deviate at its position; block -1 is the last
+    that fits under the budget."""
+    reload = width * (1 + levels)
+    start = block % (STREAM_JUMP // reload) * reload
+    stream = new_stream(seed, stream_id)
+    expected = stream.normals(start + reload)[start:]
+    namespace = {"inverse_normal_cdf": inverse_normal_cdf, "s": stream.state}
+    for offset in sorted(k for k in offsets if k < reload):
+        value = eval(simulator.restoration_source(offset, reload), namespace)
+        assert value.hex() == expected[offset].hex()
 
 
 def test_pool_scales_its_series_once_per_condition():
