@@ -124,7 +124,7 @@ def encode(procedure: Procedure, layout: GenomeLayout) -> Genome:
     bits = []
     for rule in procedure.rules:
         limit_code = round(rule.limit * 10)
-        if not 0 <= limit_code <= 63 or abs(limit_code * 0.1 - rule.limit) > 1e-9:
+        if not 0 <= limit_code <= 63 or round(0.1 * limit_code, 1) != rule.limit:
             raise InvalidArgumentError(
                 f"limit {rule.limit} is not a multiple of 0.1 in [0, 6.3]"
             )

@@ -20,7 +20,6 @@ equivalent and is rejected.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -72,17 +71,14 @@ def _parse_westgard(matches: list, original: str) -> Procedure:
 
 def _make_rule(kind, n: str, limit: str, term, position) -> Rule:
     """The rule that digit strings ``n`` and ``limit`` spell."""
-    limit = float(limit)
     # Limits are tenths of an SD: the genome encodes nothing finer, and
-    # notation renders one decimal. A limit too large for a float is left
-    # to the bounds check.
-    tenths = limit * 10
-    if math.isfinite(tenths) and abs(tenths - round(tenths)) > 1e-9:
+    # notation renders one decimal, so every later digit must be 0.
+    if limit.partition(".")[2][1:].strip("0"):
         raise ProcedureParseError(
             f"term {term!r}: decision limits take at most one decimal", position
         )
     try:  # int() also refuses more digits than sys.get_int_max_str_digits()
-        return Rule(kind, int(n), limit)
+        return Rule(kind, int(n), float(limit))
     except ValueError as exc:
         raise ProcedureParseError(
             f"term {term!r} is outside the generic-rule bounds: {exc}", position
@@ -202,11 +198,11 @@ def load_library_file(path) -> list:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        name, equals, notation = (part.strip() for part in line.partition("="))
+        if not (name and equals):
             raise ProcedureParseError(
                 f"{path}:{lineno}: expected 'name = notation'"
             )
-        name, notation = (part.strip() for part in line.split("=", 1))
         try:
             procedure = parse_procedure(notation)
         except ProcedureParseError as exc:

@@ -21,10 +21,11 @@ measurements by name, keeps in locals only the older window values that
 some test reads, and tests each rule with its ``rules.RULE_SOURCE``
 template. A pool scales its series once per condition, for every loop
 that reads it. A rejection reloads the windows with the next
-restoration deviates. The pool's first loop computes only the ones it
-reads, from the stream's state (:func:`restoration_source`); later loops
-read them from the pool's list, drawn in ``RandomStream.normals`` batches
-only when a loop reads past its end.
+restoration deviates, and every loop loads a pending block's kept values
+only when they are read. The pool's first loop computes them from the
+stream's state (:func:`restoration_source`); later loops read them from
+the pool's list, which they extend to each rejection's end in
+``RandomStream.normals`` batches.
 """
 
 from __future__ import annotations
@@ -145,12 +146,15 @@ class CompiledProcedure:
     and compiled: ``run(xs, runs, restore, more, *bounds)`` counts the
     rejected runs of the measurements ``xs``, each rejection reloading the
     windows, oldest first, from the next values of the list ``restore``;
-    when it runs short, ``more(end)`` extends it to ``end`` values. The
-    rules' bounds are the last parameters, so the loop serves every
-    procedure of the structure (:func:`run_loop`). The ``lazy`` form takes
-    the restoration stream's first state for ``restore``, jumps it over each
-    rejection's block, and calls ``more`` only past the stream's budget,
-    where it raises (see :func:`restoration_source`)."""
+    when it runs short, ``more(end)`` extends it to ``end`` values. A
+    rejection leaves its block pending, and a kept value is loaded only
+    when a test reads it or a shift carries it on. The rules' bounds are
+    the last parameters, so the loop serves every procedure of the
+    structure (:func:`run_loop`). The ``lazy`` form takes the restoration
+    stream's first state for ``restore``, jumps it over each rejection's
+    block, computes the values it loads from that state, and calls
+    ``more`` only past the stream's budget, where it raises (see
+    :func:`restoration_source`)."""
 
     __slots__ = ("run",)
 
@@ -171,7 +175,6 @@ class CompiledProcedure:
             for i, new in enumerate(arrivals)
         ]
         newest = [new[::-1] + names for new, names in zip(arrivals, slots)]
-        kept = [name for names in slots for name in names]
         count = iter(range(len(rules)))  # boolean_source meets the rules in order
 
         def leaf(rule: Rule) -> str:
@@ -184,19 +187,17 @@ class CompiledProcedure:
                 for new, names in zip(arrivals, newest)
             ))
 
-        # A rejection reloads every window's width values, read or not, so
-        # the loop asks its pool for the restorations at the same ends.
+        # A rejection reloads every window's width values, oldest first, so
+        # the loop asks its pool for the restorations at the same ends. It
+        # sets p while the block's kept values wait: they are loaded before
+        # a test reads a slot (only its line names a w), else those a shift
+        # carries on before the shift. The lazy form computes each from s,
+        # the restoration state after the last rejection's block; the dense
+        # form reads it from the pool's list, which reaches the block's end.
         reload = width * (1 + levels)
-        targets = [
-            names[j] if j < len(names) else "_"
-            for names in slots for j in range(width - 1, -1, -1)
-        ]
-        # The lazy form keeps s, the restoration state after the last
-        # rejection's block, and sets p while that block's kept values wait:
-        # they are computed before a test reads a slot (only its line names
-        # a w), else those a shift carries on before the shift.
-        fill = {name: restoration_source(offset, reload)
-                for offset, name in enumerate(targets) if lazy and name != "_"}
+        source = restoration_source if lazy else lambda k, r: f"restore[o - {r - k}]"
+        fill = {names[j]: source(i * width + width - 1 - j, reload)
+                for i, names in enumerate(slots) for j in range(len(names) - 1, -1, -1)}
 
         def load(names) -> str:
             values = ", ".join(map(fill.get, names))
@@ -214,28 +215,23 @@ class CompiledProcedure:
             ]
             carried = [v for n, new in zip(slots, newest) for v in new[: len(n)] if v in fill]
             shift.insert(0, f"            {load(carried)}")
-        reject = [
-            f"            o += {reload}",
-            f"            if o > {STREAM_JUMP}: more(o)",
-            *([f"            s = s * {pow(DEFAULT_MULTIPLIER, reload, DEFAULT_MODULUS)}"
-               f" % {DEFAULT_MODULUS}; p = 1"] if fill else []),
-        ] if lazy else [
-            f"            if len(restore) < o + {reload}: more(o + {reload})",
-            *([f"            {', '.join(targets)} = restore[o:o + {reload}]"] if kept else []),
-            f"            o += {reload}",
-        ]
-        state = "s" if lazy else "restore"
-        params = ", ".join([f"xs, runs, {state}, more", *(f"c{i}" for i in range(len(rules)))])
+        advance = (f"s = s * {pow(DEFAULT_MULTIPLIER, reload, DEFAULT_MODULUS)}"
+                   f" % {DEFAULT_MODULUS}; " if lazy else "")
+        params = ", ".join([f"xs, runs, {'s' if lazy else 'restore'}, more",
+                            *(f"c{i}" for i in range(len(rules)))])
         self.run = define("run", params, [
-            f"    {'f = ' if kept else ''}{'p = ' if fill else ''}o = 0",
-            *([f"    {' = '.join(kept)} = 0.0"] if kept else []),
+            f"    {'f = p = ' if fill else ''}o = 0",
+            *([f"    {' = '.join(fill)} = 0.0"] if fill else []),
             f"    it = iter(xs[:runs * {len(xs)}])",
             f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
-            *(["        f += 1"] if kept else []),
+            *(["        f += 1"] if fill else []),
             *tests,
             "        if t:",
-            *reject,
-            *([f"            f = {width}", "        else:"] if kept else []),
+            f"            o += {reload}",
+            f"            if o > {STREAM_JUMP}: more(o)" if lazy
+            else "            if len(restore) < o: more(o)",
+            *([f"            {advance}p = 1", f"            f = {width}", "        else:"]
+              if fill else []),
             *shift,
             f"    return o // {reload}",
         ], inverse_normal_cdf=inverse_normal_cdf)

@@ -92,6 +92,9 @@ def test_encode_validation():
         # 1.95 is off the 0.1 grid
         encode(Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 1.95),), ()), LAYOUT)
     with pytest.raises(InvalidArgumentError):
+        # within 1e-9 of code 24, but not the 2.4 that code decodes to
+        encode(Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 2.40000000001),), ()), LAYOUT)
+    with pytest.raises(InvalidArgumentError):
         encode(Procedure((), (), levels=1), GenomeLayout(q=2, fixed_levels=2))
     with pytest.raises(InvalidArgumentError):
         encode(Procedure((), (), per_level=2), GenomeLayout(q=2, fixed_per_level=1))

@@ -163,6 +163,9 @@ def test_load_library_file_errors(tmp_path):
     path.write_text("name = Q(1,2.0)\n")
     with pytest.raises(ProcedureParseError):
         load_library_file(path)
+    path.write_text(" = 1_2.0s\n")
+    with pytest.raises(ProcedureParseError, match="expected 'name = notation'"):
+        load_library_file(path)
 
 
 def test_westgard_and_canonical_agree():
@@ -222,7 +225,9 @@ def test_right_grouping_is_kept_exactly():
     assert build_expr(parse_procedure(text)) == Node(OR, a, Node(OR, Node(AND, b, c), d))
 
 
-@pytest.mark.parametrize("text", ["S(1,2.45)", "1_2.45s", "M(2,1.95) OR S(1,3.0)"])
+@pytest.mark.parametrize("text", [
+    "S(1,2.45)", "1_2.45s", "M(2,1.95) OR S(1,3.0)", "S(1,2.40000000001)", "1_2.40000000001s",
+])
 def test_limits_finer_than_a_tenth_rejected(text):
     with pytest.raises(ProcedureParseError, match="at most one decimal"):
         parse_procedure(text)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 import qcdesign.rules as rules
 import qcdesign.simulator as simulator
 from closure_oracle import simulate as oracle_simulate
-from qcdesign.rng import new_stream
+from qcdesign.rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, inverse_normal_cdf, new_stream
 from qcdesign.rules import (
     LIMIT_MAX,
     MAX_RULES,
@@ -22,6 +22,7 @@ from qcdesign.rules import (
     Rule,
     RuleKind,
     boolean_source,
+    bound,
     build_expr,
     min_n,
 )
@@ -225,6 +226,57 @@ def test_n1_loops_keep_no_window(levels, per_level, procedure, runs, condition, 
     assert not [name for name in names if name in ("f", "p") or name.startswith("w")]
     series = _normals(seed, levels * per_level * runs)
     _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
+
+
+class RecordingList(list):
+    """A restoration list that records the position of every value read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def __getitem__(self, index):
+        read = range(len(self))[index]
+        self.reads += read if isinstance(index, slice) else [read]
+        return super().__getitem__(index)
+
+
+@settings(max_examples=200, deadline=None)
+# Runs that are not rejected on S alone shift a reload no test read yet.
+@example(
+    Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 1.0), Rule(RuleKind.MEAN, 3, 0.5)), (Operator(AND),)),
+    1, 1, 60, CONDITIONS[1], 7,
+)
+@given(
+    _procedures(),
+    st.sampled_from([1, 2]),
+    st.integers(1, 4),
+    st.integers(1, 60),
+    st.sampled_from(CONDITIONS),
+    st.integers(1, 2**31 - 2),
+)
+def test_both_forms_read_the_same_restoration_positions(
+    procedure, levels, per_level, runs, condition, seed
+):
+    """The dense form reads from the pool's list exactly the positions, in
+    the same order, whose deviates the lazy form computes from the state."""
+    series = _normals(seed, levels * per_level * runs)
+    bounds = list(map(bound, procedure.rules))
+    dense = DeviatePool(series, new_stream(1, 4))
+    dense.restore = RecordingList()  # more() extends it in place
+    run = simulator.CompiledProcedure(procedure, levels, per_level).run
+    xs = dense.scaled(condition.sd_multiplier, condition.shift)
+    rejected = run(xs, runs, dense.restore, dense.more, *bounds)
+
+    lazy, computed = DeviatePool(series, new_stream(1, 4)), []
+    run = simulator.CompiledProcedure(procedure, levels, per_level, lazy=True).run
+    run.__globals__["inverse_normal_cdf"] = lambda u: computed.append(u) or inverse_normal_cdf(u)
+    assert run(xs, runs, lazy.origin, lazy.more, *bounds) == rejected
+    positions, state = {}, lazy.origin
+    for position in range(len(dense.restore)):
+        state = DEFAULT_MULTIPLIER * state % DEFAULT_MODULUS
+        positions[state / DEFAULT_MODULUS] = position
+    assert [positions[u] for u in computed] == dense.restore.reads
 
 
 def test_compiled_loop_cache_is_bounded(monkeypatch):
