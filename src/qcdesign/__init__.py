@@ -23,7 +23,6 @@ from .rules import (
     build_expr,
     canonical_notation,
     count_distinct_propositions,
-    evaluate_rule,
 )
 from .simulator import (
     DeviatePool,

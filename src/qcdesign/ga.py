@@ -47,6 +47,8 @@ OPERATOR_DRAW_BUDGET = (_FRESH_SIM_BASE - _OPS_STREAM_ID) * STREAM_JUMP
 # Generations g = 0 .. G of a fresh-seed run whose last simulation reads
 # stream ids up to 100+8G+7 <= rng.MAX_STREAM_ID.
 MAX_FRESH_SEED_GENERATIONS = (MAX_STREAM_ID + 1 - _FRESH_SIM_BASE) // IDS_PER_SIMULATION - 1
+# Procedures a design report lists, fittest first.
+MAX_BEST = 10
 
 # Report keys that differ from the field they come from.
 _REPORT_KEYS = {
@@ -333,7 +335,6 @@ def run_design(
     assay: AssayParams,
     cfg: ObjectiveConfig,
     params: GaParams,
-    max_best: int = 10,
     on_replacement: Optional[Callable[[Individual, Individual], None]] = None,
     threads: int = 1,
 ) -> DesignReport:
@@ -385,7 +386,7 @@ def run_design(
 
     ranked = sorted(
         best_seen.items(), key=lambda item: (item[1].fitness, item[0])
-    )[:max_best]
+    )[:MAX_BEST]
     best_entries = []
     for notation, ind in ranked:
         levels, per_level, _ = resolve_shape(decode(ind.genome), plan)

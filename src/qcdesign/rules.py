@@ -1,4 +1,4 @@
-"""QC rules, Boolean procedures, and their evaluation.
+"""QC rules and Boolean procedures.
 
 A procedure is a Boolean combination of decision rules applied to a
 chronological stream of standardized control measurements (mean 0, SD 1).
@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
@@ -138,8 +137,8 @@ ExprTree = Union[Leaf, Node, None]
 # source expression c of the rule's bound (see :func:`bound`). R tests
 # every pair: IEEE subtraction rounds monotonically and symmetrically, so
 # fl(max - min) > x exactly when some |fl(a - b)| > x, and abs costs a
-# fraction of max and min. Its ``or`` chain is parenthesised because
-# callers put a guard and ``and`` in front of a test. M and D add left to
+# fraction of max and min. Its ``or`` chain is parenthesised because the
+# run loop puts a guard and ``and`` in front of a test. M and D add left to
 # right as sum() does, less its leading int 0, which could change only the
 # sign of a zero sum; abs and squaring drop that sign. D's ``** 2`` must
 # stay: x ** 2 and x * x differ in the last bit for some doubles (for
@@ -175,17 +174,12 @@ def define(name: str, params: str, body: Sequence[str], **names) -> Callable:
     return namespace[name]
 
 
-# Entries in each cache of compiled code (``simulator.run_loop``, and
-# ``_holds`` for :func:`evaluate_expr`), keyed by structure only: rule kinds
-# and windows, operators, shape, never a limit. The limits are parameters,
-# so procedures that differ only in their limits share one entry. The
-# bound keeps a long design's memory flat; an entry holds a few KB.
+# Entries in the cache of compiled run loops (``simulator.run_loop``), keyed
+# by structure only: rule kinds and windows, operators, shape, never a
+# limit. The limits are parameters, so procedures that differ only in
+# their limits share one entry. The bound keeps a long design's memory
+# flat; an entry holds a few KB.
 COMPILED_STRUCTURES = 4096
-
-
-def evaluate_rule(rule: Rule, window: Sequence[float]) -> bool:
-    """Apply one rule to the last ``rule.n`` values of ``window``."""
-    return evaluate_expr(Leaf(rule), window)
 
 
 def build_expr(procedure: Procedure) -> ExprTree:
@@ -227,25 +221,6 @@ def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> 
         lines.append(f"{indent}if {'' if node.op is OperatorKind.AND else 'not '}t:")
         lines += boolean_source(node.right, leaf, indent + "    ")
     return lines
-
-
-def evaluate_expr(expr: ExprTree, window: Sequence[float]) -> bool:
-    """Apply a tree to one window (newest last); a rule needs n values in it."""
-    bounds = []
-
-    def leaf(rule: Rule) -> str:
-        bounds.append(bound(rule))
-        values = [f"w[{-i}]" for i in range(rule.n, 0, -1)]
-        return f"len(w) >= {rule.n} and {RULE_SOURCE[rule.kind](values, f'c{len(bounds) - 1}')}"
-
-    body = "\n".join([*boolean_source(expr, leaf, "    "), "    return t"])
-    return _holds(body, len(bounds))(window, *bounds)
-
-
-@lru_cache(maxsize=COMPILED_STRUCTURES)
-def _holds(body: str, count: int) -> Callable:
-    """``holds(w, c0, .., c{count - 1})`` with the given body source."""
-    return define("holds", ", ".join(["w", *(f"c{i}" for i in range(count))]), [body])
 
 
 def canonical_notation(procedure: Procedure) -> str:

@@ -1,6 +1,9 @@
 """Deterministic-crowding GA tests at desk scale."""
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.ga import (
@@ -12,11 +15,11 @@ from qcdesign.ga import (
     operator_draws,
     run_design,
 )
-from qcdesign.genome import Genome, GenomeLayout, encode
-from qcdesign.objective import ObjectiveConfig
+from qcdesign.genome import Genome, GenomeLayout, decode, encode
+from qcdesign.objective import ObjectiveConfig, fitness_f
 from qcdesign.rng import RandomStream, new_stream
 from qcdesign.rules import Procedure, Rule, RuleKind
-from qcdesign.simulator import SimulationPlan
+from qcdesign.simulator import SimulationPlan, draw_condition_pools, estimate_performance
 
 LAYOUT = GenomeLayout(q=3, optimize_levels=True)
 
@@ -210,6 +213,63 @@ def test_report_independent_of_threads(monkeypatch, sodium_assay, fresh):
     )
     serial = run_design(**kwargs, threads=1).to_dict()
     assert run_design(**kwargs, threads=2).to_dict() == serial
+
+
+class _UncachedEvaluator(PopulationEvaluator):
+    """Decodes and estimates every genome on its own, on condition pools
+    drawn afresh for it, with no cache: each estimate runs the pools' first,
+    lazy loop, where the shipped evaluator runs most on shared pools."""
+
+    def evaluate(self, genomes):
+        individuals = []
+        for genome in genomes:
+            procedure = decode(genome)
+            pools = draw_condition_pools(
+                new_stream(self.seed, self.stream_id), self.plan.measurements_per_level
+            )
+            estimate = estimate_performance(procedure, self.plan, self.critical, pools)
+            fitness = fitness_f(estimate, self.cfg)
+            individuals.append(Individual(genome, fitness, estimate, procedure.operator_count))
+        return individuals
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population=st.integers(1, 4).map(lambda pairs: 2 * pairs),
+    generations=st.integers(0, 3),
+    q=st.integers(1, 3),
+    optimize_levels=st.booleans(),
+    optimize_per_level=st.booleans(),
+    fresh=st.booleans(),
+    kind=st.sampled_from(["single_point", "two_point"]),
+    rate=st.sampled_from([0.0, 0.05]),
+    mpl=st.integers(20, 150),
+    seed=st.integers(1, 2**31 - 2),
+)
+def test_design_equals_uncached_fresh_pool_design(
+    sodium_assay, population, generations, q, optimize_levels, optimize_per_level,
+    fresh, kind, rate, mpl, seed,
+):
+    """Differential test of the whole design run: the genome cache, the
+    shared pools and the dense run loops change which simulations run,
+    never what they return."""
+    kwargs = dict(
+        layout=GenomeLayout(q, optimize_levels, optimize_per_level),
+        plan=SimulationPlan(measurements_per_level=mpl),
+        assay=sodium_assay,
+        cfg=ObjectiveConfig(),
+        params=GaParams(
+            population=population,
+            generations=generations,
+            crossover_kind=kind,
+            mutation_schedule=((0, rate),),
+            seed=seed,
+            fresh_seeds_per_generation=fresh,
+        ),
+    )
+    shipped = run_design(**kwargs).to_dict()
+    with mock.patch("qcdesign.ga.PopulationEvaluator", _UncachedEvaluator):
+        assert run_design(**kwargs).to_dict() == shipped
 
 
 def test_synonym_genomes_share_one_simulation(monkeypatch, sodium_critical, sodium_plan):

@@ -1,11 +1,10 @@
-"""Rule evaluation, expression building, notation, and proposition counting."""
-
-from functools import lru_cache
+"""Rule evaluation through the run loop and against the closure oracle,
+expression building, notation, and proposition counting."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-import qcdesign.rules
+from closure_oracle import compile_expr, rule_predicate
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import new_stream
 from qcdesign.rules import (
@@ -20,8 +19,6 @@ from qcdesign.rules import (
     build_expr,
     canonical_notation,
     count_distinct_propositions,
-    evaluate_expr,
-    evaluate_rule,
     min_n,
 )
 from qcdesign.library import parse_procedure
@@ -40,6 +37,22 @@ S, R, M, D = (
     RuleKind.STD_DEV,
 )
 AND, OR = OperatorKind.AND, OperatorKind.OR
+
+
+def _run_once(procedure, levels, values):
+    """Reject count of one run whose measurements are ``values``, level by
+    level in turn, through the procedure's generated run loop. An empty
+    window holds no run, so it rejects nothing."""
+    if not values:
+        return 0
+    compiled = CompiledProcedure(procedure, levels, len(values) // levels)
+    pool = DeviatePool(values, new_stream(1, 9))
+    return compiled.run(values, 1, pool.restore, pool.more, *map(bound, procedure.rules))
+
+
+def _fires(rule, window):
+    """Whether one rule rejects the one run ``window``, on one level."""
+    return bool(_run_once(Procedure((rule,)), 1, window))
 
 
 # ---------------------------------------------------------------- rules
@@ -71,7 +84,7 @@ def test_range_rule_is_max_minus_min(n, limit, window):
     """R's pairwise test decides as ``max - min > x`` would, on grid values
     whose differences round onto the limit, on ties and on signed zeros."""
     expected = len(window) >= n and max(window[-n:]) - min(window[-n:]) > limit
-    assert evaluate_rule(Rule(R, n, limit), window) == expected
+    assert _fires(Rule(R, n, limit), window) == expected
 
 
 @pytest.mark.parametrize(
@@ -87,38 +100,27 @@ def test_range_rule_is_max_minus_min(n, limit, window):
 )
 def test_range_rule_at_rounding_edges(window, limit, fires):
     assert (max(window) - min(window) > limit) == fires
-    assert evaluate_rule(Rule(R, len(window), limit), window) == fires
+    assert _fires(Rule(R, len(window), limit), window) == fires
 
 
 def test_evaluate_single_value():
     rule = Rule(S, 2, 2.0)
-    assert evaluate_rule(rule, [0.0, -2.1, 2.5])
-    assert not evaluate_rule(rule, [0.0, 1.9, 2.5])
-    assert not evaluate_rule(rule, [2.5])  # insufficient history
+    assert _fires(rule, [0.0, -2.1, 2.5])
+    assert not _fires(rule, [0.0, 1.9, 2.5])
+    assert not _fires(rule, [2.5])  # insufficient history
 
 
 def test_evaluate_range_and_mean():
-    assert evaluate_rule(Rule(R, 2, 4.0), [-2.1, 2.0])
-    assert not evaluate_rule(Rule(R, 2, 4.2), [-2.1, 2.0])
-    assert evaluate_rule(Rule(M, 2, 1.9), [2.0, 1.9])
-    assert not evaluate_rule(Rule(M, 2, 2.0), [2.0, 1.9])
+    assert _fires(Rule(R, 2, 4.0), [-2.1, 2.0])
+    assert not _fires(Rule(R, 2, 4.2), [-2.1, 2.0])
+    assert _fires(Rule(M, 2, 1.9), [2.0, 1.9])
+    assert not _fires(Rule(M, 2, 2.0), [2.0, 1.9])
 
 
 def test_evaluate_std_dev():
     # sample SD of [0, 2] is sqrt(2) = 1.4142
-    assert evaluate_rule(Rule(D, 2, 1.0), [5.0, 0.0, 2.0])
-    assert not evaluate_rule(Rule(D, 2, 1.5), [5.0, 0.0, 2.0])
-
-
-def test_reference_evaluator_compiles_once_per_structure(monkeypatch):
-    cache = lru_cache(maxsize=None)(qcdesign.rules._holds.__wrapped__)
-    monkeypatch.setattr(qcdesign.rules, "_holds", cache)
-    # |1.0 + 0.9| = 1.9 against the bounds 2 * x.
-    results = [evaluate_rule(Rule(M, 2, x), [1.0, 0.9]) for x in (0.9, 0.95, 1.0)]
-    assert results == [True, False, False]
-    assert cache.cache_info().currsize == 1
-    evaluate_rule(Rule(M, 3, 0.9), [1.0, 0.9])
-    assert cache.cache_info().currsize == 2
+    assert _fires(Rule(D, 2, 1.0), [5.0, 0.0, 2.0])
+    assert not _fires(Rule(D, 2, 1.5), [5.0, 0.0, 2.0])
 
 
 def test_bounds_are_products():
@@ -129,7 +131,7 @@ def test_bounds_are_products():
 def test_history_prefix_irrelevant():
     rule = Rule(M, 2, 1.0)
     window = [1.5, 1.5]
-    assert evaluate_rule(rule, window) == evaluate_rule(rule, [9.0, -9.0] + window)
+    assert _fires(rule, window) == _fires(rule, [9.0, -9.0] + window)
 
 
 # ---------------------------------------------------------- expressions
@@ -146,9 +148,8 @@ def test_two_rules_single_node():
 
 
 def test_empty_procedure_never_rejects():
-    expr = build_expr(Procedure())
-    assert expr is None
-    assert not evaluate_expr(expr, [9.0, 9.0, 9.0])
+    assert build_expr(Procedure()) is None
+    assert not _run_once(Procedure(), 1, [9.0, 9.0, 9.0])
 
 
 def test_priority_binds_tighter():
@@ -176,12 +177,12 @@ def test_hand_evaluated_combination():
         [Rule(S, 1, 2.2), Rule(M, 2, 1.9), Rule(R, 4, 4.3)],
         [Operator(AND, 1), Operator(OR, 0)],
     )
-    assert not evaluate_expr(build_expr(proc), [0.0, 0.0, 0.0, 2.3])
+    assert not _run_once(proc, 1, [0.0, 0.0, 0.0, 2.3])
 
 
 def test_or_fires_on_one_branch():
     proc = _proc([Rule(S, 1, 2.7), Rule(M, 2, 1.9)], [Operator(OR, 0)])
-    assert evaluate_expr(build_expr(proc), [0.1, 2.8])
+    assert _run_once(proc, 1, [0.1, 2.8])
 
 
 # ------------------------------------------------------------- notation
@@ -284,13 +285,12 @@ def _procedures(draw, max_rules=4):
 )
 def test_or_rejection_superset_of_and(procedure, window):
     """Replacing every AND with OR never turns a rejection into a pass."""
-    expr = build_expr(procedure)
     all_or = Procedure(
         procedure.rules,
         tuple(Operator(OR, op.priority) for op in procedure.operators),
     )
-    if evaluate_expr(expr, window):
-        assert evaluate_expr(build_expr(all_or), window)
+    if _run_once(procedure, 1, window):
+        assert _run_once(all_or, 1, window)
 
 
 @given(
@@ -302,8 +302,7 @@ def test_evaluation_depends_only_on_recent_history(procedure, prefix, tail):
     """Prepending history never changes the verdict once windows are full."""
     max_n = max(rule.n for rule in procedure.rules)
     window = tail[-max_n:] if max_n <= len(tail) else tail
-    expr = build_expr(procedure)
-    assert evaluate_expr(expr, window) == evaluate_expr(expr, prefix + window)
+    assert _run_once(procedure, 1, window) == _run_once(procedure, 1, prefix + window)
 
 
 @given(_procedures())
@@ -326,12 +325,13 @@ _BOUNDARY_WINDOWS = [
 
 @pytest.mark.parametrize("rule, window", _BOUNDARY_WINDOWS)
 def test_reference_evaluator_agrees_with_simulator(rule, window):
-    """One run of len(window) measurements on one level sees exactly window."""
+    """One run of len(window) measurements on one level sees exactly window,
+    which the closure oracle's rule reads as its one window."""
     procedure = Procedure((rule,), (), levels=1, per_level=len(window))
     plan = SimulationPlan(measurements_per_level=len(window))
     pool = DeviatePool(window, new_stream(1, 9))
     rejected = simulate_condition(procedure, plan, ErrorCondition(), pool)
-    assert float(evaluate_rule(rule, window)) == rejected
+    assert float(rule_predicate(rule)([window])) == rejected
 
 
 _grid_windows = st.lists(
@@ -340,18 +340,10 @@ _grid_windows = st.lists(
 )
 
 
-def _run_once(procedure, levels, values):
-    """Reject count of one run whose measurements are ``values``, level by
-    level in turn, through the procedure's generated run loop."""
-    compiled = CompiledProcedure(procedure, levels, len(values) // levels)
-    pool = DeviatePool(values, new_stream(1, 9))
-    return compiled.run(values, 1, pool.restore, pool.more, *map(bound, procedure.rules))
-
-
 # A run holds at least one measurement, so these windows are not empty.
 @given(_procedures(), _grid_windows.filter(len))
 def test_compiled_procedure_agrees_with_reference(procedure, window):
-    expected = evaluate_expr(build_expr(procedure), window)
+    expected = compile_expr(build_expr(procedure), rule_predicate)([window])
     assert _run_once(procedure, 1, window) == expected
 
 
@@ -367,5 +359,6 @@ def test_rule_holds_when_any_window_does(rule, shape):
     """One run's windows: the cross-level one and one per level."""
     levels, values = shape
     windows = [values] + [values[level::levels] for level in range(levels)]
-    expected = any(evaluate_rule(rule, w) for w in windows)
+    holds = rule_predicate(rule)
+    expected = any(holds([w]) for w in windows)
     assert _run_once(Procedure((rule,)), levels, values) == expected
