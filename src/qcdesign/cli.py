@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import os
@@ -54,6 +55,18 @@ def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
     threads = args.threads if args.threads is not None else _env_int("QCDESIGN_THREADS")
     overrides = {"threads": threads, "output": args.out, "output_format": args.format}
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+
+
+def _check_output(path) -> None:
+    """Refuse, before any work, an output path that cannot name a file: a
+    directory, or a path whose parent directory does not exist."""
+    if not path:
+        return
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, "output path is a directory", path)
+    parent = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, "output directory does not exist", parent)
 
 
 def _emit(cfg: JobConfig, text: str) -> None:
@@ -209,6 +222,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         cfg = _apply_overrides(cfg, args)
+        _check_output(cfg.output)
         if args.command == "design":
             text = cmd_design(cfg)
         elif args.command == "evaluate":

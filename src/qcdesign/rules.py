@@ -132,28 +132,56 @@ class Node:
 ExprTree = Union[Leaf, Node, None]
 
 
-# The one definition of a rule: per kind, its test on the source
-# expressions v of a window's last n values, oldest first, against the
-# source expression c of the rule's bound (see :func:`bound`). R tests
-# every pair: IEEE subtraction rounds monotonically and symmetrically, so
-# fl(max - min) > x exactly when some |fl(a - b)| > x, and abs costs a
-# fraction of max and min. Its ``or`` chain is parenthesised because the
-# run loop puts a guard and ``and`` in front of a test. M and D add left to
-# right as sum() does, less its leading int 0, which could change only the
-# sign of a zero sum; abs and squaring drop that sign. D's ``** 2`` must
-# stay: x ** 2 and x * x differ in the last bit for some doubles (for
-# example 1.4658814763242407), so ``d * d`` would change reports.
+# The one definition of a rule: per kind, the source of the terms its test
+# compares with the rule's bound (see :func:`bound`), on the source
+# expressions v of a window's last n values, oldest first, and whether any
+# term (else every term) must exceed the bound. :func:`rule_test` and
+# :func:`rule_statistic` generate a test and a per-window statistic from it.
+# R tests every pair: IEEE subtraction rounds monotonically and
+# symmetrically, so fl(max - min) > x exactly when some |fl(a - b)| > x,
+# and abs costs a fraction of max and min. M and D add left to right as
+# sum() does, less its leading int 0, which could change only the sign of
+# a zero sum; abs and squaring drop that sign. D's ``** 2`` must stay:
+# x ** 2 and x * x differ in the last bit for some doubles (for example
+# 1.4658814763242407), so ``d * d`` would change reports.
 RULE_SOURCE = {
-    RuleKind.SINGLE_VALUE: lambda v, c: " and ".join(f"abs({a}) > {c}" for a in v),
-    RuleKind.RANGE: lambda v, c: (
-        f"({' or '.join(f'abs({a} - {b}) > {c}' for a, b in combinations(v, 2))})"
-    ),
-    RuleKind.MEAN: lambda v, c: f"abs({' + '.join(v)}) > {c}",
-    RuleKind.STD_DEV: lambda v, c: (
+    RuleKind.SINGLE_VALUE: (lambda v: [f"abs({a})" for a in v], False),
+    RuleKind.RANGE: (lambda v: [f"abs({a} - {b})" for a, b in combinations(v, 2)], True),
+    RuleKind.MEAN: (lambda v: [f"abs({' + '.join(v)})"], False),
+    RuleKind.STD_DEV: (lambda v: [
         f"(({v[0]} - (m := ({' + '.join(v)}) / {len(v)})) ** 2"
-        + "".join(f" + ({a} - m) ** 2" for a in v[1:]) + f") / {len(v) - 1} > {c}"
-    ),
+        + "".join(f" + ({a} - m) ** 2" for a in v[1:]) + f") / {len(v) - 1}"
+    ], False),
 }
+
+
+def rule_test(kind: RuleKind, v: Sequence[str], c: str) -> str:
+    """Source of a rule's test on one window, against the bound's source
+    ``c``. An ``or`` chain is parenthesised because the run loop puts a
+    guard and ``and`` in front of a test."""
+    terms, any_term = RULE_SOURCE[kind]
+    tests = [f"{term} > {c}" for term in terms(v)]
+    return f"({' or '.join(tests)})" if any_term else " and ".join(tests)
+
+
+def rule_statistic(kind: RuleKind, v: Sequence[str]) -> str:
+    """Source of the value that exceeds the bound exactly when the rule's
+    test on the window holds: its largest term if any term must exceed the
+    bound, else its smallest."""
+    terms, any_term = RULE_SOURCE[kind]
+    return extreme(terms(v), any_term, "t")
+
+
+def extreme(values: Sequence[str], largest: bool, temp: str) -> str:
+    """Source of the largest (else the smallest) of the sources ``values``,
+    as conditional expressions through the locals ``temp``0 and ``temp``1,
+    which cost a fraction of a ``max`` or ``min`` call. Exact for floats
+    that are not NaN; ``values`` must not assign those locals."""
+    a, b = f"{temp}0", f"{temp}1"
+    source = values[0]
+    for value in values[1:]:
+        source = f"({a} if ({a} := {source}) {'>' if largest else '<'} ({b} := {value}) else {b})"
+    return source
 
 
 def bound(rule: Rule) -> float:
@@ -174,11 +202,12 @@ def define(name: str, params: str, body: Sequence[str], **names) -> Callable:
     return namespace[name]
 
 
-# Entries in the cache of compiled run loops (``simulator.run_loop``), keyed
-# by structure only: rule kinds and windows, operators, shape, never a
-# limit. The limits are parameters, so procedures that differ only in
-# their limits share one entry. The bound keeps a long design's memory
-# flat; an entry holds a few KB.
+# Entries in the caches of compiled run loops (``simulator.run_loop``) and
+# statistics (``simulator.statistic_loop``), keyed by structure only: rule
+# kinds and windows, operators, shape, never a limit. The limits are
+# parameters, so procedures that differ only in their limits share one
+# entry. The bound keeps a long design's memory flat; an entry holds a few
+# KB.
 COMPILED_STRUCTURES = 4096
 
 
@@ -207,11 +236,9 @@ def build_expr(procedure: Procedure) -> ExprTree:
 
 def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> list:
     """Lines that set ``t`` to the truth of ``expr``, ``leaf(rule)`` giving
-    each rule's test; AND and OR short-circuit, the empty tree is false. A
-    chain is a run of statements, and only an operand that is a chain opens
-    a block: trees from :func:`build_expr` nest one block per priority."""
-    if expr is None:
-        return [f"{indent}t = False"]
+    each rule's test; AND and OR short-circuit. A chain is a run of
+    statements, and only an operand that is a chain opens a block: trees
+    from :func:`build_expr` nest one block per priority."""
     spine = []
     while isinstance(expr, Node):
         spine.append(expr)
@@ -221,6 +248,21 @@ def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> 
         lines.append(f"{indent}if {'' if node.op is OperatorKind.AND else 'not '}t:")
         lines += boolean_source(node.right, leaf, indent + "    ")
     return lines
+
+
+def fold(expr: ExprTree, leaf: Callable, both: Callable, either: Callable):
+    """The value of ``expr`` with ``leaf(rule)`` for each rule, combined by
+    ``both`` at AND and ``either`` at OR, walked as :func:`boolean_source`
+    walks it: a chain in a loop, one call per nested priority."""
+    spine = []
+    while isinstance(expr, Node):
+        spine.append(expr)
+        expr = expr.left
+    value = leaf(expr.rule)
+    for node in reversed(spine):
+        right = fold(node.right, leaf, both, either)
+        value = both(value, right) if node.op is OperatorKind.AND else either(value, right)
+    return value
 
 
 def canonical_notation(procedure: Procedure) -> str:
@@ -258,22 +300,20 @@ def count_distinct_propositions(max_rules: int) -> int:
     if max_rules > 4:
         raise InvalidArgumentError("enumeration supports max_rules <= 4")
 
+    # The truth table of a tree is its fold over 16-bit masks: in row r an
+    # atom of class c holds when bit c of r is set, and rule i of a
+    # placeholder sequence stands for the atom in position i.
+    atom_rows = [sum(1 << row for row in range(16) if row >> c & 1) for c in range(4)]
     seen = set()
     op_space = list(product(OperatorKind, range(4)))
     for count in range(1, max_rules + 1):
-        # Placeholder rule i stands for the atom in position i, so one
-        # compiled function per operator choice serves every choice of
-        # atoms. In row r, an atom of class c has the value of bit c of r.
         slots = tuple(Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * i) for i in range(count))
-        tables = [
-            [[row >> c & 1 for c in atoms] for row in range(16)]
-            for atoms in product(range(4), repeat=count)
-        ]
-        for op_choice in product(op_space, repeat=count - 1):
-            ops = tuple(Operator(kind, prio) for kind, prio in op_choice)
-            expr = build_expr(Procedure(slots, ops))
-            body = boolean_source(expr, lambda rule: f"a[{slots.index(rule)}]", "    ")
-            holds = define("holds", "a", [*body, "    return t"])
-            for table in tables:
-                seen.add(sum(1 << row for row, values in enumerate(table) if holds(values)))
+        trees = {
+            build_expr(Procedure(slots, tuple(Operator(kind, prio) for kind, prio in choice)))
+            for choice in product(op_space, repeat=count - 1)
+        }
+        for expr in trees:
+            for atoms in product(atom_rows, repeat=count):
+                rows = dict(zip(slots, atoms))
+                seen.add(fold(expr, rows.__getitem__, int.__and__, int.__or__))
     return len(seen)

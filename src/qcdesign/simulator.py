@@ -12,25 +12,31 @@ The simulated error persists until detection: after a rejected run the
 process is restored, so the rule windows are reloaded with in-control
 values before the error is reintroduced in the next run.
 
-Run loops are generated as Python source, one per structure and QC shape
-(:class:`CompiledProcedure`): the structure is each rule's kind and
-window and the operators, and the rules' bounds are the loop's
-parameters, so procedures that differ only in their limits share one
-compiled loop (:func:`run_loop`). A loop reads its run's
-measurements by name, keeps in locals only the older window values that
-some test reads, and tests each rule with its ``rules.RULE_SOURCE``
-template. A pool scales its series once per condition, for every loop
-that reads it. A rejection reloads the windows with the next
+A procedure whose every rule reads only its run's values (n <= per_level)
+is history-free: it reads no restoration deviate and runs no loop. A rule
+fires on a run exactly when a per-run statistic exceeds its bound, and
+the pool keeps each statistic sorted (:func:`count_history_free`).
+
+Procedures with history run a loop generated as Python source, one per
+structure and QC shape (:class:`CompiledProcedure`): the structure is
+each rule's kind and window and the operators, and the rules' bounds
+are the loop's parameters, so procedures that differ only in their
+limits share one compiled loop (:func:`run_loop`). A loop reads its
+run's measurements by name, keeps in locals only the older window
+values that some test reads, and tests each rule with
+``rules.rule_test``. A pool scales its series once per condition, for
+every loop that reads it. A rejection reloads the windows with the next
 restoration deviates, and every loop loads a pending block's kept values
-only when they are read. The pool's first loop computes them from the
-stream's state (:func:`restoration_source`); later loops read them from
-the pool's list, which they extend to each rejection's end in
+only when they are read. The pool's first run loop computes them from
+the stream's state (:func:`restoration_source`); later loops read them
+from the pool's list, which they extend to each rejection's end in
 ``RandomStream.normals`` batches.
 """
 
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -41,8 +47,8 @@ from .errors import InvalidArgumentError
 from .rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, STREAM_JUMP, RandomStream, new_stream
 from .rng import inverse_normal_cdf
 from .rules import (
-    COMPILED_STRUCTURES, N_MAX, RULE_SOURCE, Procedure, Rule, boolean_source, bound, build_expr,
-    check_shape, define,
+    COMPILED_STRUCTURES, N_MAX, Procedure, Rule, RuleKind, boolean_source, bound,
+    build_expr, check_shape, define, extreme, fold, rule_statistic, rule_test,
 )
 
 # Substream offsets of a simulation's base stream, one per error
@@ -109,11 +115,11 @@ class DeviatePool:
     the rest on demand. Sharing one pool across procedures pairs their
     simulations (common random numbers): every procedure reads the same
     measurements and a prefix of the same restoration sequence. Until a
-    loop reads the pool, ``origin`` is the restoration stream's state, from
-    which that lazy loop computes what it reads; then it is ``None``.
+    run loop reads the pool, ``origin`` is the restoration stream's state,
+    from which that lazy loop computes what it reads; then it is ``None``.
     """
 
-    __slots__ = ("series", "restore", "origin", "_restore_stream", "_scaled")
+    __slots__ = ("series", "restore", "origin", "_restore_stream", "_scaled", "_statistics")
 
     def __init__(self, series: Sequence[float], restore_stream: RandomStream):
         self.series = list(series)
@@ -121,6 +127,7 @@ class DeviatePool:
         self.origin = restore_stream.state
         self._restore_stream = restore_stream
         self._scaled: dict = {}
+        self._statistics: dict = {}
 
     def scaled(self, k: float, delta: float) -> list:
         """``[v * k + delta for v in series]``, computed once per (k, delta)."""
@@ -129,6 +136,17 @@ class DeviatePool:
         if xs is None:
             xs = self._scaled[key] = [v * k + delta for v in self.series]
         return xs
+
+    def statistic(self, k: float, delta: float, kind: RuleKind, n: int, levels: int, per_level: int,
+                  runs: int) -> tuple:
+        """(per-run values, sorted values) of :func:`statistic_loop` on the
+        first ``runs`` runs of ``scaled(k, delta)``, computed once per key."""
+        key = (float(k).hex(), float(delta).hex(), kind, n, levels, per_level, runs)
+        entry = self._statistics.get(key)
+        if entry is None:
+            values = statistic_loop(kind, n, levels, per_level)(self.scaled(k, delta), runs)
+            entry = self._statistics[key] = (values, sorted(values))
+        return entry
 
     def more(self, end: int) -> None:
         """Extend ``restore`` in place to at least ``end`` deviates."""
@@ -160,16 +178,14 @@ class CompiledProcedure:
 
     def __init__(self, procedure: Procedure, levels: int, per_level: int, lazy: bool = False):
         rules = procedure.rules
-        width = max((r.n for r in rules), default=1)
-        xs = [f"x{j}" for j in range(levels * per_level)]
-        # Window 0 is the cross-level history and window 1 + L level L's,
-        # each taking its values of a run in order. A test reads its run's
-        # values by name and the window's older values from locals
-        # w{i}_{j}, window i's j-th newest before the run; a window keeps
-        # only as many as some test reads. After f runs (until a rejection
-        # fills it) window i holds f * len(arrivals[i]) values. The empty
-        # procedure never rejects.
-        arrivals = [xs] + [xs[level::levels] for level in range(levels)]
+        width = max(r.n for r in rules)
+        arrivals, runs_clause = _windows(levels, per_level)
+        # A test reads its run's values by name and the window's older
+        # values from locals w{i}_{j}, window i's j-th newest before the
+        # run; a window keeps only as many as some test reads. After f runs
+        # (until a rejection fills it) window i holds f * len(arrivals[i])
+        # values. Only procedures with history come here: some rule reads
+        # an older value of a window.
         slots = [
             [f"w{i}_{j}" for j in range(1, max([r.n - len(new) for r in rules] + [0]) + 1)]
             for i, new in enumerate(arrivals)
@@ -183,7 +199,7 @@ class CompiledProcedure:
             c = f"c{next(count)}"
             return " or ".join(dict.fromkeys(
                 ("" if rule.n <= len(new) else f"f >= {-(-rule.n // len(new))} and ")
-                + RULE_SOURCE[rule.kind](names[rule.n - 1 :: -1], c)
+                + rule_test(rule.kind, names[rule.n - 1 :: -1], c)
                 for new, names in zip(arrivals, newest)
             ))
 
@@ -203,38 +219,45 @@ class CompiledProcedure:
             values = ", ".join(map(fill.get, names))
             return f"if p: p = 0; {', '.join(names)} = {values}" if names else "p = 0"
 
-        tests = boolean_source(build_expr(procedure), leaf, "        ")
-        shift = [
+        tests = [
+            f"{line[: len(line) - len(line.lstrip())]}{load(fill)}\n{line}" if "w" in line
+            else line for line in boolean_source(build_expr(procedure), leaf, "        ")
+        ]
+        carried = [v for n, new in zip(slots, newest) for v in new[: len(n)] if v in fill]
+        shift = [f"            {load(carried)}"] + [
             f"            {', '.join(names)} = {', '.join(new[: len(names)])}"
             for names, new in zip(slots, newest) if names
         ]
-        if fill:
-            tests = [
-                f"{line[: len(line) - len(line.lstrip())]}{load(fill)}\n{line}" if "w" in line
-                else line for line in tests
-            ]
-            carried = [v for n, new in zip(slots, newest) for v in new[: len(n)] if v in fill]
-            shift.insert(0, f"            {load(carried)}")
         advance = (f"s = s * {pow(DEFAULT_MULTIPLIER, reload, DEFAULT_MODULUS)}"
                    f" % {DEFAULT_MODULUS}; " if lazy else "")
         params = ", ".join([f"xs, runs, {'s' if lazy else 'restore'}, more",
                             *(f"c{i}" for i in range(len(rules)))])
         self.run = define("run", params, [
-            f"    {'f = p = ' if fill else ''}o = 0",
-            *([f"    {' = '.join(fill)} = 0.0"] if fill else []),
-            f"    it = iter(xs[:runs * {len(xs)}])",
-            f"    for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))}):",
-            *(["        f += 1"] if fill else []),
+            "    f = p = o = 0",
+            f"    {' = '.join(fill)} = 0.0",
+            f"    it = iter(xs[:runs * {levels * per_level}])",
+            f"    {runs_clause}:",
+            "        f += 1",
             *tests,
             "        if t:",
             f"            o += {reload}",
             f"            if o > {STREAM_JUMP}: more(o)" if lazy
             else "            if len(restore) < o: more(o)",
-            *([f"            {advance}p = 1", f"            f = {width}", "        else:"]
-              if fill else []),
+            f"            {advance}p = 1",
+            f"            f = {width}",
+            "        else:",
             *shift,
             f"    return o // {reload}",
         ], inverse_normal_cdf=inverse_normal_cdf)
+
+
+def _windows(levels: int, per_level: int) -> tuple:
+    """The names of the measurements each window takes from a run, in
+    order (window 0 is the cross-level history, window 1 + L level L's),
+    and the clause ``for x0, ..., in zip(it, ...)`` naming them run by run."""
+    xs = [f"x{j}" for j in range(levels * per_level)]
+    clause = f"for {', '.join(xs)}, in zip({', '.join(['it'] * len(xs))})"
+    return [xs] + [xs[level::levels] for level in range(levels)], clause
 
 
 def restoration_source(offset: int, reload: int) -> str:
@@ -250,6 +273,47 @@ def run_loop(structure: tuple, operators: tuple, levels: int, per_level: int, la
     by ``operators``, for a QC shape, in the dense or the lazy form."""
     rules = tuple(Rule(kind, n, 0.0) for kind, n in structure)
     return CompiledProcedure(Procedure(rules, operators), levels, per_level, lazy).run
+
+
+@lru_cache(maxsize=COMPILED_STRUCTURES)
+def statistic_loop(kind: RuleKind, n: int, levels: int, per_level: int):
+    """``statistic(xs, runs)``, compiled, lists per run the largest over a
+    (kind, n <= per_level) rule's windows of ``rules.rule_statistic``, so
+    the rule fires on a run exactly when that value exceeds its bound."""
+    arrivals, runs_clause = _windows(levels, per_level)
+    windows = dict.fromkeys(rule_statistic(kind, new[len(new) - n :]) for new in arrivals)
+    return define("statistic", "xs, runs", [
+        f"    it = iter(xs[:runs * {levels * per_level}])",
+        f"    return [{extreme(list(windows), True, 'u')} {runs_clause}]",
+    ])
+
+
+def count_history_free(procedure: Procedure, condition: ErrorCondition, pool: DeviatePool,
+                       levels: int, per_level: int, runs: int) -> int:
+    """Rejected runs of a history-free procedure, from the pool's per-run
+    statistics. Rules on one statistic make the tree one bound (OR the
+    least, AND the greatest), and a binary search counts the runs above
+    it; otherwise the tree combines the rules' verdict masks, bit r set
+    when a rule fires on run r. No budget check is needed: a loop's
+    rejections would reload at most runs * 3 * per_level deviates, and
+    3 * MAX_MEASUREMENTS_PER_LEVEL < STREAM_JUMP."""
+    expr = build_expr(procedure)
+    if expr is None:
+        return 0
+    k, delta = condition.sd_multiplier, condition.shift
+
+    def statistic(rule: Rule) -> tuple:
+        return pool.statistic(k, delta, rule.kind, rule.n, levels, per_level, runs)
+
+    if len({(r.kind, r.n) for r in procedure.rules}) == 1:
+        _, ordered = statistic(procedure.rules[0])
+        return runs - bisect_right(ordered, fold(expr, bound, max, min))
+
+    def mask(rule: Rule) -> int:
+        values, c = statistic(rule)[0], bound(rule)
+        return int("".join(["1" if v > c else "0" for v in reversed(values)]), 2)
+
+    return fold(expr, mask, int.__and__, int.__or__).bit_count()
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):
@@ -282,9 +346,11 @@ def simulate_condition(
     per_run = levels * per_level
     if len(pool.series) < per_run * runs:
         raise InvalidArgumentError(f"need {per_run * runs} deviates, got {len(pool.series)}")
-    xs = pool.scaled(condition.sd_multiplier, condition.shift)
     rules = procedure.rules
-    origin, pool.origin = pool.origin, None  # the pool's first loop runs lazily
+    if all(r.n <= per_level for r in rules):  # history-free: no test reads an older run
+        return count_history_free(procedure, condition, pool, levels, per_level, runs) / runs
+    xs = pool.scaled(condition.sd_multiplier, condition.shift)
+    origin, pool.origin = pool.origin, None  # the pool's first run loop runs lazily
     lazy = origin is not None
     structure = tuple((r.kind, r.n) for r in rules)
     run = run_loop(structure, procedure.operators, levels, per_level, lazy)

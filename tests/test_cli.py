@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_library import _NOTATION_PIECES
 
+from qcdesign import ga, simulator
 from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main
 from qcdesign.rules import MAX_RULES
 
@@ -170,6 +171,28 @@ def test_output_file(capsys, tmp_path):
     assert json.loads(target.read_text())["critical_random_error"] == pytest.approx(
         2.313, abs=0.001
     )
+
+
+@pytest.mark.parametrize("where", ["missing-dir-flag", "directory-flag", "missing-dir-key"])
+def test_unwritable_output_path_exits_4_before_any_work(monkeypatch, capsys, tmp_path, where):
+    def no_work(task):
+        raise AssertionError("simulated before the output path was checked")
+
+    monkeypatch.setattr(simulator, "estimate_task", no_work)
+    monkeypatch.setattr(ga, "estimate_task", no_work)
+    missing = tmp_path / "no" / "such" / "dir" / "r.json"
+    flags = {
+        "missing-dir-flag": ["--out", str(missing)],
+        "directory-flag": ["--out", str(tmp_path)],
+        "missing-dir-key": [],
+    }[where]
+    output = {"output": str(missing)} if where == "missing-dir-key" else {}
+    (tmp_path / "cfg").mkdir()
+    config = _small_config(tmp_path / "cfg", **output)
+    code, out, err = _run(capsys, "--config", config, "--threads", "1", *flags, "design")
+    assert (code, out) == (EXIT_RUNTIME, "")
+    assert err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg"]  # no file made
 
 
 def test_compare_outputs_ranked_rows(capsys, tmp_path):

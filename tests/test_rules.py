@@ -2,12 +2,14 @@
 expression building, notation, and proposition counting."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from closure_oracle import compile_expr, rule_predicate
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.rng import new_stream
 from qcdesign.rules import (
+    LIMIT_MAX,
+    N_MAX,
     Leaf,
     Node,
     Operator,
@@ -20,6 +22,8 @@ from qcdesign.rules import (
     canonical_notation,
     count_distinct_propositions,
     min_n,
+    rule_statistic,
+    rule_test,
 )
 from qcdesign.library import parse_procedure
 from qcdesign.simulator import (
@@ -27,6 +31,7 @@ from qcdesign.simulator import (
     DeviatePool,
     ErrorCondition,
     SimulationPlan,
+    count_history_free,
     simulate_condition,
 )
 
@@ -41,12 +46,17 @@ AND, OR = OperatorKind.AND, OperatorKind.OR
 
 def _run_once(procedure, levels, values):
     """Reject count of one run whose measurements are ``values``, level by
-    level in turn, through the procedure's generated run loop. An empty
-    window holds no run, so it rejects nothing."""
+    level in turn, as the simulator scores it: from the rules' statistics
+    when every rule reads only the run's values, else through the
+    procedure's generated run loop. An empty window holds no run, so it
+    rejects nothing."""
     if not values:
         return 0
-    compiled = CompiledProcedure(procedure, levels, len(values) // levels)
+    per_level = len(values) // levels
     pool = DeviatePool(values, new_stream(1, 9))
+    if all(rule.n <= per_level for rule in procedure.rules):
+        return count_history_free(procedure, ErrorCondition(), pool, levels, per_level, 1)
+    compiled = CompiledProcedure(procedure, levels, per_level)
     return compiled.run(values, 1, pool.restore, pool.more, *map(bound, procedure.rules))
 
 
@@ -85,6 +95,48 @@ def test_range_rule_is_max_minus_min(n, limit, window):
     whose differences round onto the limit, on ties and on signed zeros."""
     expected = len(window) >= n and max(window[-n:]) - min(window[-n:]) > limit
     assert _fires(Rule(R, n, limit), window) == expected
+
+
+def _outcome(source, namespace):
+    """The value of ``source``, or OverflowError where D's ``** 2``
+    overflows (the test and the statistic square the same terms)."""
+    try:
+        return eval(source, namespace)
+    except OverflowError:
+        return OverflowError
+
+
+_values = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, LIMIT_MAX, -LIMIT_MAX]),
+    _tenths,
+)
+
+
+@pytest.mark.parametrize("kind", list(RuleKind))
+@settings(max_examples=200, deadline=None)
+@example(window=[0.0, -0.0], limit=0.0)
+@example(window=[-0.0, -0.0, 0.0, -0.0], limit=0.0)
+@example(window=[2.1, 2.1, 2.1], limit=2.1)
+@example(window=[6.3, -6.3], limit=LIMIT_MAX)
+@example(window=[6.3, 6.3, 6.3, 6.3], limit=LIMIT_MAX)
+@example(window=[1.4658814763242407] * 2, limit=1.4)
+@example(window=[1e200, -1e200, 3.0], limit=0.0)
+@given(
+    window=st.lists(_values, min_size=1, max_size=N_MAX),
+    limit=st.one_of(st.sampled_from([0.0, LIMIT_MAX]), _tenths.map(abs)),
+)
+def test_statistic_exceeds_the_bound_exactly_when_the_test_holds(kind, window, limit):
+    """Each kind's generated test on a window holds exactly when its
+    generated statistic exceeds the rule's bound, on signed zeros, ties,
+    values on the limit and sums that overflow."""
+    assume(len(window) >= min_n(kind))
+    rule = Rule(kind, len(window), limit)
+    names = [f"v{i}" for i in range(len(window))]
+    namespace = dict(zip(names, window), c=bound(rule))
+    holds = _outcome(rule_test(kind, names, "c"), namespace)
+    statistic = _outcome(rule_statistic(kind, names), namespace)
+    assert holds == (statistic if statistic is OverflowError else statistic > bound(rule))
 
 
 @pytest.mark.parametrize(

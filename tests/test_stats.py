@@ -6,10 +6,12 @@ import sys
 from fractions import Fraction
 
 import pytest
+import reference_pipeline
 from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.library import parse_procedure
+from qcdesign.rules import N_MAX, Operator, OperatorKind, Procedure, Rule, RuleKind, min_n
 from qcdesign.simulator import SimulationPlan
 from qcdesign.stats import compare_procedures, sign_test, summarize
 
@@ -216,3 +218,61 @@ def test_pool_capped_by_replicates_and_cores(
     assert sizes == ([] if expected is None else [expected])
     # one replicate per task, so neither worker is left holding a chunk
     assert chunks == ([] if expected is None else [1])
+
+
+_limits = st.integers(0, 63).map(lambda tenth: round(0.1 * tenth, 1))
+
+
+@st.composite
+def _compare_procedure(draw, plan, history):
+    """A procedure, perhaps with a QC shape of its own; with ``history``
+    some rule reads an older run (n > per_level), else none does."""
+    levels = draw(st.sampled_from([None, 1, 2]))
+    per_level = draw(st.sampled_from([None, 1, 2, 3] + ([] if history else [4])))
+    if history and per_level is None and plan.per_level_per_run == N_MAX:
+        per_level = draw(st.integers(1, N_MAX - 1))
+    reads = plan.per_level_per_run if per_level is None else per_level
+    kinds = [kind for kind in RuleKind if history or min_n(kind) <= reads]
+    rules = draw(st.lists(
+        st.sampled_from(kinds).flatmap(lambda kind: st.builds(
+            Rule, st.just(kind), st.integers(min_n(kind), N_MAX if history else reads), _limits
+        )),
+        max_size=3,
+    ))
+    if history:
+        kind = draw(st.sampled_from(list(RuleKind)))
+        old = Rule(kind, draw(st.integers(max(min_n(kind), reads + 1), N_MAX)), draw(_limits))
+        rules.insert(draw(st.integers(0, len(rules))), old)
+    operators = st.builds(Operator, st.sampled_from(list(OperatorKind)), st.integers(0, 3))
+    return Procedure(
+        tuple(rules), tuple(draw(operators) for _ in rules[1:]), levels, per_level
+    )
+
+
+@st.composite
+def _compare_cases(draw):
+    """A plan and 2-6 named procedures, at least one of them history-free
+    and one with history."""
+    plan = SimulationPlan(
+        measurements_per_level=draw(st.integers(20, 150)),
+        levels=draw(st.sampled_from([1, 2])),
+        per_level_per_run=draw(st.integers(1, N_MAX)),
+    )
+    kinds = [False, True] + draw(st.lists(st.booleans(), max_size=4))
+    procedures = [draw(_compare_procedure(plan, history)) for history in kinds]
+    return plan, [(f"p{i}", p) for i, p in enumerate(draw(st.permutations(procedures)))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_compare_cases(), st.integers(2, 4), st.integers(1, 2**31 - 2))
+def test_compare_equals_the_reference_pipeline(sodium_critical, case, replicates, seed):
+    """Shared pools, history-free scoring and the generated run loops give,
+    field by field, the comparison of a plain loop that simulates every
+    procedure, replicate and condition with the closure oracle on pools
+    of its own."""
+    plan, named = case
+    result = compare_procedures(
+        named, plan, sodium_critical, replicates=replicates, base_seed=seed, threads=1
+    )
+    expected = reference_pipeline.compare(named, plan, sodium_critical, replicates, seed)
+    assert result == expected
