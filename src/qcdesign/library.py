@@ -27,7 +27,7 @@ from pathlib import Path
 from .errors import ProcedureParseError
 from .rules import MAX_RULES, Operator, OperatorKind, Procedure, Rule, RuleKind
 
-_WESTGARD_TERM = re.compile(r"^(?:(\d+)|R)_(\d+(?:\.\d+)?)s$")
+_WESTGARD_TERM = re.compile(r"^(?:([0-9]+)|R)_([0-9]+(?:\.[0-9]+)?)s$")
 _KIND_BY_LETTER = {k.value: k for k in RuleKind}
 
 
@@ -126,7 +126,7 @@ def _parse_canonical(text: str) -> Procedure:
     return Procedure(tuple(rules), tuple(Operator(*op) for op in operators))
 
 
-_RULE_BODY = re.compile(r"\s*(\d+)\s*,\s*(\d+(?:\.\d+)?)\s*\)")
+_RULE_BODY = re.compile(r"\s*([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)\s*\)")
 
 
 def _tokenize(text: str):

@@ -26,11 +26,11 @@ run's measurements by name, keeps in locals only the older window
 values that some test reads, and tests each rule with
 ``rules.rule_test``. A pool scales its series once per condition, for
 every loop that reads it. A rejection reloads the windows with the next
-restoration deviates, and every loop loads a pending block's kept values
-only when they are read. The pool's first run loop computes them from
-the stream's state (:func:`restoration_source`); later loops read them
-from the pool's list, which they extend to each rejection's end in
-``RandomStream.normals`` batches.
+restoration deviates: it counts them against the stream's budget, and a
+loop loads a pending block's kept values only when they are read. A
+single-use pool's first run loop computes them from the stream's state
+(:func:`restoration_source`); other loops read them from the pool's
+list, which each load extends to its block's end.
 """
 
 from __future__ import annotations
@@ -112,11 +112,11 @@ class DeviatePool:
     ``series`` holds the measurement deviates, and :meth:`scaled` the
     measurements of a condition. ``restore`` holds the restoration
     deviates drawn so far from a dedicated stream, and :meth:`more` draws
-    the rest on demand. Sharing one pool across procedures pairs their
-    simulations (common random numbers): every procedure reads the same
-    measurements and a prefix of the same restoration sequence. Until a
-    run loop reads the pool, ``origin`` is the restoration stream's state,
-    from which that lazy loop computes what it reads; then it is ``None``.
+    up to the end of each block a loop loads. Procedures that share a pool
+    read the same measurements and restorations (common random numbers).
+    Until a run loop reads a single-use pool, ``origin`` is the stream's
+    state, from which that lazy loop computes what it reads; then, and in
+    pools that several loops share (:func:`_pools`), it is ``None``.
     """
 
     __slots__ = ("series", "restore", "origin", "_restore_stream", "_scaled", "_statistics")
@@ -163,16 +163,16 @@ class CompiledProcedure:
     """The run loop of a procedure's structure for one QC shape, generated
     and compiled: ``run(xs, runs, restore, more, *bounds)`` counts the
     rejected runs of the measurements ``xs``, each rejection reloading the
-    windows, oldest first, from the next values of the list ``restore``;
-    when it runs short, ``more(end)`` extends it to ``end`` values. A
-    rejection leaves its block pending, and a kept value is loaded only
-    when a test reads it or a shift carries it on. The rules' bounds are
-    the last parameters, so the loop serves every procedure of the
-    structure (:func:`run_loop`). The ``lazy`` form takes the restoration
-    stream's first state for ``restore``, jumps it over each rejection's
-    block, computes the values it loads from that state, and calls
-    ``more`` only past the stream's budget, where it raises (see
-    :func:`restoration_source`)."""
+    windows, oldest first, from the next values of the list ``restore``.
+    A rejection counts its block, calls ``more`` only past the stream's
+    budget, where it raises, and leaves the block pending; a kept value is
+    loaded only when a test reads it or a shift carries it on, and the
+    load first has ``more(end)`` extend a short list to the block's end.
+    The rules' bounds are the last parameters, so the loop serves every
+    procedure of the structure (:func:`run_loop`). The ``lazy`` form takes
+    the restoration stream's first state for ``restore``, jumps it over
+    each rejection's block and computes the values it loads from that
+    state (see :func:`restoration_source`)."""
 
     __slots__ = ("run",)
 
@@ -203,21 +203,22 @@ class CompiledProcedure:
                 for new, names in zip(arrivals, newest)
             ))
 
-        # A rejection reloads every window's width values, oldest first, so
-        # the loop asks its pool for the restorations at the same ends. It
-        # sets p while the block's kept values wait: they are loaded before
-        # a test reads a slot (only its line names a w), else those a shift
-        # carries on before the shift. The lazy form computes each from s,
-        # the restoration state after the last rejection's block; the dense
-        # form reads it from the pool's list, which reaches the block's end.
+        # A rejection reloads every window's width values, oldest first, and
+        # only counts them against the budget. It sets p while the block's
+        # kept values wait: they are loaded before a test reads a slot (only
+        # its line names a w), else those a shift carries on before the
+        # shift. The lazy form computes each from s, the restoration state
+        # after the last rejection's block; the dense form reads it from the
+        # pool's list, first extended to the block's end if it falls short.
         reload = width * (1 + levels)
         source = restoration_source if lazy else lambda k, r: f"restore[o - {r - k}]"
+        extend = "" if lazy else "len(restore) < o and more(o); "
         fill = {names[j]: source(i * width + width - 1 - j, reload)
                 for i, names in enumerate(slots) for j in range(len(names) - 1, -1, -1)}
 
         def load(names) -> str:
             values = ", ".join(map(fill.get, names))
-            return f"if p: p = 0; {', '.join(names)} = {values}" if names else "p = 0"
+            return f"if p: p = 0; {extend}{', '.join(names)} = {values}" if names else "p = 0"
 
         tests = [
             f"{line[: len(line) - len(line.lstrip())]}{load(fill)}\n{line}" if "w" in line
@@ -241,8 +242,7 @@ class CompiledProcedure:
             *tests,
             "        if t:",
             f"            o += {reload}",
-            f"            if o > {STREAM_JUMP}: more(o)" if lazy
-            else "            if len(restore) < o: more(o)",
+            f"            if o > {STREAM_JUMP}: more(o)",
             f"            {advance}p = 1",
             f"            f = {width}",
             "        else:",
@@ -401,7 +401,10 @@ def draw_condition_pools(
 def _pools(seed: int, stream_id: int, size: int) -> dict:
     """The condition pools of stream ``stream_id`` of ``seed``. A worker
     keeps the last key's between tasks, so it draws them once per key."""
-    return draw_condition_pools(new_stream(seed, stream_id), size)
+    pools = draw_condition_pools(new_stream(seed, stream_id), size)
+    for pool in pools.values():
+        pool.origin = None  # several loops read it, so none runs lazily
+    return pools
 
 
 def estimate_task(task) -> list:

@@ -68,6 +68,9 @@ def test_parse_none():
         "S(1,2.0))",
         "10_3.0s",  # counting rules beyond n=4 have no generic form
         "1_9.9s",  # limit above the 6.3 grid maximum
+        "S(1,\u0662.\u0660)",  # digits are ASCII only: not Arabic-Indic,
+        "1_\uff12.0s",  # not fullwidth,
+        "S(1,\uff12.\uff10\uff10)",  # which the one-decimal check misread
         "S(1,2.0) AND (S(1,2.1) AND (S(1,2.2) AND (S(1,2.3) AND "
         "(S(1,2.4) AND S(1,2.5)))))",
     ],

@@ -5,6 +5,7 @@ draws, for random procedures, for procedures that share a loop and for
 the worst shapes of 256 rules."""
 
 import sys
+from bisect import bisect_right
 from functools import lru_cache
 
 import pytest
@@ -52,6 +53,19 @@ class RecordingPool(DeviatePool):
         super().more(end)
 
 
+class RecordingList(list):
+    """A restoration list that records the position of every value read."""
+
+    def __init__(self):
+        super().__init__()
+        self.reads = []
+
+    def __getitem__(self, index):
+        read = range(len(self))[index]
+        self.reads += read if isinstance(index, slice) else [read]
+        return super().__getitem__(index)
+
+
 def _loop(procedure, levels, per_level, lazy=False):
     """The run loop ``simulate_condition`` runs for ``procedure``."""
     structure = tuple((rule.kind, rule.n) for rule in procedure.rules)
@@ -72,11 +86,11 @@ def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series
     """simulate_condition and the oracle agree on the reject count, each on
     its own fresh copy of the same pool. With history, the pool's first
     reader runs lazily and draws nothing into it; a second reader gets the
-    same count and, with nothing drawn ahead, extends the pool on every
-    rejection, to exactly the end of the oracle's restoration slice. A
-    history-free procedure runs no loop: it looks up no compiled loop,
-    never calls ``more``, draws nothing and leaves ``origin`` to the pool's
-    first run loop."""
+    same count and extends the pool once per restoration block it reads,
+    in order, to exactly the end of the oracle's slice for that block, and
+    never past the last block it reads. A history-free procedure runs no
+    loop: it looks up no compiled loop, never calls ``more``, draws nothing
+    and leaves ``origin`` to the pool's first run loop."""
     shaped = Procedure(procedure.rules, procedure.operators, levels, per_level)
     plan = SimulationPlan(measurements_per_level=runs * per_level)
     product = RecordingPool(series, new_stream(1, 4))
@@ -84,6 +98,7 @@ def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series
     origin, loops = product.origin, simulator.run_loop.cache_info()
     fraction = simulate_condition(shaped, plan, condition, product)
     assert product.calls == [] and product.restore == []
+    product.restore = RecordingList()  # more() extends it in place
     assert simulate_condition(shaped, plan, condition, product) == fraction
     requests = []
 
@@ -98,8 +113,11 @@ def _assert_matches_oracle(procedure, levels, per_level, runs, condition, series
     )
     assert fraction == rejected / runs
     if _has_history(procedure, per_level):
-        assert product.calls == requests
-        assert len(product.restore) == max(requests, default=0)
+        assert set(product.calls) <= set(requests)
+        # The end of each block read, in the order of the first read.
+        ends = dict.fromkeys(requests[bisect_right(requests, i)] for i in product.restore.reads)
+        assert product.calls == list(ends)
+        assert len(product.restore) == max(ends, default=0)
     else:
         assert product.calls == [] and product.restore == []
         assert product.origin == origin
@@ -238,19 +256,6 @@ def test_n1_loops_keep_no_window(levels, per_level, procedure, runs, condition, 
     assert not _has_history(procedure, per_level)
     series = _normals(seed, levels * per_level * runs)
     _assert_matches_oracle(procedure, levels, per_level, runs, condition, series)
-
-
-class RecordingList(list):
-    """A restoration list that records the position of every value read."""
-
-    def __init__(self):
-        super().__init__()
-        self.reads = []
-
-    def __getitem__(self, index):
-        read = range(len(self))[index]
-        self.reads += read if isinstance(index, slice) else [read]
-        return super().__getitem__(index)
 
 
 @settings(max_examples=200, deadline=None)

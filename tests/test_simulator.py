@@ -1,11 +1,13 @@
 """Monte Carlo simulator tests: oracle agreement, pairing, hand cases."""
 
 import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import qcdesign.simulator as simulator
+from qcdesign.cli import EXIT_OK, main
 from qcdesign.error_model import single_value_power_oracle
 from qcdesign.errors import InvalidArgumentError
 from qcdesign.ga import GaParams, run_design
@@ -216,12 +218,23 @@ def test_lazy_run_loop_overrun_raises_through_more(monkeypatch):
 def test_run_loop_may_spend_the_whole_budget(lazy):
     # M(4,0.0) on one level rejects every run from the fourth on, and each
     # rejection reloads 8 values: 12,503 runs end exactly at STREAM_JUMP.
+    # The last block is never loaded, so the dense form never draws it.
     procedure = Procedure((Rule(RuleKind.MEAN, 4, 0.0),))
     pool = DeviatePool([1.0] * 12503, new_stream(1, 9))
     run = simulator.CompiledProcedure(procedure, 1, 1, lazy).run
     restore = pool.origin if lazy else pool.restore
     assert run(pool.series, 12503, restore, pool.more, *map(bound, procedure.rules)) == 12500
-    assert len(pool.restore) == (0 if lazy else STREAM_JUMP)
+    assert len(pool.restore) == (0 if lazy else STREAM_JUMP - 8)
+
+
+def test_loop_that_never_loads_draws_nothing():
+    # S(1,0.0) rejects every run before M(2,0.5) reads a window, so the
+    # dense loop loads no block and draws none of the 1,000 it counts.
+    procedure = parse_procedure("S(1,0.0) OR M(2,0.5)")
+    pool = _stream_pool(3, 2000)
+    run = simulator.CompiledProcedure(procedure, 2, 1).run
+    assert run(pool.series, 1000, pool.restore, pool.more, *map(bound, procedure.rules)) == 1000
+    assert pool.restore == []
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,6 +325,41 @@ def test_task_shares_its_pools_across_procedures(pool_draws, sodium_critical):
     ]
     estimate_task(([S_1_24], plan, sodium_critical, 7, 16))  # same key: no draw
     assert pool_draws == [(7, 16)]
+
+
+@pytest.fixture()
+def lazy_computes(monkeypatch):
+    """The restoration deviates that run loops compute from the stream's
+    state, counted in loops compiled for the test alone."""
+    computed = []
+
+    def counted(u):
+        computed.append(u)
+        return inverse_normal_cdf(u)
+
+    monkeypatch.setattr(simulator, "inverse_normal_cdf", counted)
+    loops = lru_cache(maxsize=None)(simulator.run_loop.__wrapped__)
+    monkeypatch.setattr(simulator, "run_loop", loops)
+    return computed
+
+
+def test_shared_pools_never_run_lazily(pool_draws, lazy_computes, sodium_critical, capsys):
+    """Several loops read a task's pools, so each reads the pool's list;
+    evaluate's pools serve one procedure, whose first loop runs lazily."""
+    texts = ("1_2.5s/2_2.0s/R_4s/4_1s", "S(1,2.7) OR M(2,1.9)",
+             "M(2,1.9) OR (D(3,0.1) AND R(2,3.8))")
+    procedures = [parse_procedure(text) for text in texts]
+    plan = _plan(mpl=200)
+    estimates = estimate_task((procedures, plan, sodium_critical, 7, 16))
+    assert lazy_computes == []
+    fresh = [draw_condition_pools(new_stream(7, 16), 200) for _ in procedures]
+    assert estimates == [  # each on its own pools, whose first loop runs lazily
+        estimate_performance(p, plan, sodium_critical, own) for p, own in zip(procedures, fresh)
+    ]
+    lazy_computes.clear()
+    assert main(["evaluate", texts[0]]) == EXIT_OK
+    capsys.readouterr()
+    assert lazy_computes
 
 
 def test_compare_draws_once_per_replicate(pool_draws, sodium_critical):
