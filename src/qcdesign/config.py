@@ -66,6 +66,13 @@ class JobConfig:
         for path in (self.output or "", *self.library_files):
             if "\0" in path:  # open() would raise ValueError
                 raise ConfigError(f"output and library_files paths hold no NUL byte: {path!r}")
+        # A genome with per-level bits decodes up to 4 measurements per level.
+        per_level = 4 if self.layout.optimize_per_level else self.layout.fixed_per_level
+        if self.plan.measurements_per_level < per_level:
+            raise ConfigError(
+                f"plan.measurements_per_level {self.plan.measurements_per_level} yields zero "
+                f"runs of the {per_level} measurements per level the layout can decode"
+            )
         # Fresh-seed simulation streams start where the operator budget ends.
         if self.ga.fresh_seeds_per_generation:
             if self.ga.generations > MAX_FRESH_SEED_GENERATIONS:

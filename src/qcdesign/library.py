@@ -11,8 +11,9 @@ Two grammars are accepted:
 
 Canonical text parses in one loop, without recursion, straight to the
 rule/operator sequence, each operator's priority counting the right
-operands on its path from the root, so ``rules.build_expr`` reads back the
-same grouping; at most ``MAX_NESTING`` parentheses nest. Westgard
+operands on its path from the root, so ``rules.fold``, which every reader
+of a procedure's expression calls, groups it back as written; at most
+``MAX_NESTING`` parentheses nest. Westgard
 counting terms here are the paper's absolute-value generic forms, not
 the classical same-side-of-mean variants; 10_x has no generic
 equivalent and is rejected.

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import combinations, product
 from typing import Callable, Optional, Sequence, Union
 
@@ -25,9 +26,11 @@ from .errors import InvalidArgumentError
 
 LIMIT_MAX = 6.3
 N_MAX = 4
-# Most rules in one procedure (procedure text and layout.q alike). Trees
-# are rendered recursively, one level per operator of a chain, so this
-# bound keeps rendering far inside the recursion limit.
+# Most rules in one procedure (procedure text and layout.q alike). Reading
+# an expression recurses only per priority (:func:`fold`), but a
+# ``Leaf``/``Node`` tree's equality and hashing recurse once per operator
+# of a chain, and a generated run loop holds a test per rule, so this bound
+# keeps both far inside the recursion limit and a loop's source small.
 MAX_RULES = 256
 
 
@@ -211,80 +214,63 @@ def define(name: str, params: str, body: Sequence[str], **names) -> Callable:
 COMPILED_STRUCTURES = 4096
 
 
-def build_expr(procedure: Procedure) -> ExprTree:
-    """Parse the rule/operator sequence into a tree by precedence climbing.
-
-    Higher priority binds tighter; equal priorities associate left to
-    right. An empty procedure yields ``None`` (never rejects).
-    """
+def fold(procedure: Procedure, leaf: Callable, both: Callable, either: Callable):
+    """The value of the procedure's expression, read by precedence
+    climbing: ``leaf(rule)`` for each rule in rule order, combined by
+    ``both`` at AND and ``either`` at OR; ``None`` if it has no rules.
+    Higher priority binds tighter and equal priorities associate left to
+    right. A chain folds in a loop and only a tighter priority recurses,
+    so the depth stays within five calls."""
     rules, ops = procedure.rules, procedure.operators
     if not rules:
         return None
     pos = 0  # ops[pos] follows rules[pos]
 
-    def parse(min_priority: int) -> ExprTree:
+    def parse(min_priority: int):
         nonlocal pos
-        left: ExprTree = Leaf(rules[pos])
+        value = leaf(rules[pos])
         while pos < len(ops) and ops[pos].priority >= min_priority:
             op = ops[pos]
             pos += 1
-            left = Node(op.kind, left, parse(op.priority + 1))
-        return left
+            right = parse(op.priority + 1)
+            value = both(value, right) if op.kind is OperatorKind.AND else either(value, right)
+        return value
 
     return parse(0)
 
 
-def boolean_source(expr: ExprTree, leaf: Callable[[Rule], str], indent: str) -> list:
-    """Lines that set ``t`` to the truth of ``expr``, ``leaf(rule)`` giving
-    each rule's test; AND and OR short-circuit. A chain is a run of
-    statements, and only an operand that is a chain opens a block: trees
-    from :func:`build_expr` nest one block per priority."""
-    spine = []
-    while isinstance(expr, Node):
-        spine.append(expr)
-        expr = expr.left
-    lines = [f"{indent}t = {leaf(expr.rule)}"]
-    for node in reversed(spine):
-        lines.append(f"{indent}if {'' if node.op is OperatorKind.AND else 'not '}t:")
-        lines += boolean_source(node.right, leaf, indent + "    ")
-    return lines
+def build_expr(procedure: Procedure) -> ExprTree:
+    """The procedure's expression as a tree, as :func:`fold` groups it."""
+    return fold(procedure, Leaf, partial(Node, OperatorKind.AND), partial(Node, OperatorKind.OR))
 
 
-def fold(expr: ExprTree, leaf: Callable, both: Callable, either: Callable):
-    """The value of ``expr`` with ``leaf(rule)`` for each rule, combined by
-    ``both`` at AND and ``either`` at OR, walked as :func:`boolean_source`
-    walks it: a chain in a loop, one call per nested priority."""
-    spine = []
-    while isinstance(expr, Node):
-        spine.append(expr)
-        expr = expr.left
-    value = leaf(expr.rule)
-    for node in reversed(spine):
-        right = fold(node.right, leaf, both, either)
-        value = both(value, right) if node.op is OperatorKind.AND else either(value, right)
-    return value
+def boolean_source(procedure: Procedure, leaf: Callable[[Rule], str], indent: str) -> list:
+    """Lines that set ``t`` to the truth of the procedure's expression,
+    ``leaf(rule)`` giving each rule's test; AND and OR short-circuit. A
+    chain is a run of statements, and only an operand that is a chain opens
+    a block, so blocks nest one per priority."""
+    def join(guard: str) -> Callable:
+        return lambda left, right: left + [guard] + ["    " + line for line in right]
+
+    lines = fold(procedure, lambda rule: [f"t = {leaf(rule)}"], join("if t:"), join("if not t:"))
+    return [indent + line for line in lines]
 
 
 def canonical_notation(procedure: Procedure) -> str:
     """Render with parentheses exactly where the grouping requires them.
 
     Same-kind chains are flattened (AND and OR are associative); an
-    internal child whose operator differs from its parent's is
-    parenthesized. The empty procedure renders as ``NONE``.
+    operand whose operator differs from its parent's is parenthesized.
+    The empty procedure renders as ``NONE``.
     """
-    expr = build_expr(procedure)
-    if expr is None:
-        return "NONE"
+    def join(kind: OperatorKind) -> Callable:
+        def operand(text: str, op: Optional[OperatorKind]) -> str:
+            return f"({text})" if op is not None and op is not kind else text
+        return lambda left, right: (f"{operand(*left)} {kind.value} {operand(*right)}", kind)
 
-    def render(e: ExprTree, parent: Optional[OperatorKind]) -> str:
-        if isinstance(e, Leaf):
-            return str(e.rule)
-        text = f"{render(e.left, e.op)} {e.op.value} {render(e.right, e.op)}"
-        if parent is not None and parent is not e.op:
-            return f"({text})"
-        return text
-
-    return render(expr, None)
+    value = fold(procedure, lambda rule: (str(rule), None),
+                 join(OperatorKind.AND), join(OperatorKind.OR))
+    return "NONE" if value is None else value[0]
 
 
 def count_distinct_propositions(max_rules: int) -> int:
@@ -300,20 +286,20 @@ def count_distinct_propositions(max_rules: int) -> int:
     if max_rules > 4:
         raise InvalidArgumentError("enumeration supports max_rules <= 4")
 
-    # The truth table of a tree is its fold over 16-bit masks: in row r an
-    # atom of class c holds when bit c of r is set, and rule i of a
-    # placeholder sequence stands for the atom in position i.
+    # The truth table of a procedure is its fold over 16-bit masks, once
+    # per tree: in row r an atom of class c holds when bit c of r is set,
+    # and rule i of a placeholder sequence stands for the atom in position i.
     atom_rows = [sum(1 << row for row in range(16) if row >> c & 1) for c in range(4)]
     seen = set()
     op_space = list(product(OperatorKind, range(4)))
     for count in range(1, max_rules + 1):
         slots = tuple(Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * i) for i in range(count))
-        trees = {
-            build_expr(Procedure(slots, tuple(Operator(kind, prio) for kind, prio in choice)))
+        procedures = (
+            Procedure(slots, tuple(Operator(kind, prio) for kind, prio in choice))
             for choice in product(op_space, repeat=count - 1)
-        }
-        for expr in trees:
+        )
+        for procedure in {build_expr(p): p for p in procedures}.values():
             for atoms in product(atom_rows, repeat=count):
                 rows = dict(zip(slots, atoms))
-                seen.add(fold(expr, rows.__getitem__, int.__and__, int.__or__))
+                seen.add(fold(procedure, rows.__getitem__, int.__and__, int.__or__))
     return len(seen)

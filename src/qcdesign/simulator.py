@@ -48,7 +48,7 @@ from .rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, STREAM_JUMP, RandomStream,
 from .rng import inverse_normal_cdf
 from .rules import (
     COMPILED_STRUCTURES, N_MAX, Procedure, Rule, RuleKind, boolean_source, bound,
-    build_expr, check_shape, define, extreme, fold, rule_statistic, rule_test,
+    check_shape, define, extreme, fold, rule_statistic, rule_test,
 )
 
 # Substream offsets of a simulation's base stream, one per error
@@ -96,6 +96,11 @@ class SimulationPlan:
                 f"got {self.measurements_per_level}"
             )
         check_shape(self.levels, self.per_level_per_run, ("levels", "per_level_per_run"))
+        if self.measurements_per_level < self.per_level_per_run:
+            raise InvalidArgumentError(
+                f"measurements_per_level {self.measurements_per_level} yields zero runs "
+                f"of per_level_per_run {self.per_level_per_run} measurements"
+            )
 
 
 @dataclass(frozen=True)
@@ -191,7 +196,7 @@ class CompiledProcedure:
             for i, new in enumerate(arrivals)
         ]
         newest = [new[::-1] + names for new, names in zip(arrivals, slots)]
-        count = iter(range(len(rules)))  # boolean_source meets the rules in order
+        count = iter(range(len(rules)))  # fold meets the rules in order
 
         def leaf(rule: Rule) -> str:
             # Window i holds n values after ceil(n / len(arrivals[i])) runs;
@@ -222,7 +227,7 @@ class CompiledProcedure:
 
         tests = [
             f"{line[: len(line) - len(line.lstrip())]}{load(fill)}\n{line}" if "w" in line
-            else line for line in boolean_source(build_expr(procedure), leaf, "        ")
+            else line for line in boolean_source(procedure, leaf, "        ")
         ]
         carried = [v for n, new in zip(slots, newest) for v in new[: len(n)] if v in fill]
         shift = [f"            {load(carried)}"] + [
@@ -297,8 +302,7 @@ def count_history_free(procedure: Procedure, condition: ErrorCondition, pool: De
     when a rule fires on run r. No budget check is needed: a loop's
     rejections would reload at most runs * 3 * per_level deviates, and
     3 * MAX_MEASUREMENTS_PER_LEVEL < STREAM_JUMP."""
-    expr = build_expr(procedure)
-    if expr is None:
+    if not procedure.rules:
         return 0
     k, delta = condition.sd_multiplier, condition.shift
 
@@ -307,13 +311,13 @@ def count_history_free(procedure: Procedure, condition: ErrorCondition, pool: De
 
     if len({(r.kind, r.n) for r in procedure.rules}) == 1:
         _, ordered = statistic(procedure.rules[0])
-        return runs - bisect_right(ordered, fold(expr, bound, max, min))
+        return runs - bisect_right(ordered, fold(procedure, bound, max, min))
 
     def mask(rule: Rule) -> int:
         values, c = statistic(rule)[0], bound(rule)
         return int("".join(["1" if v > c else "0" for v in reversed(values)]), 2)
 
-    return fold(expr, mask, int.__and__, int.__or__).bit_count()
+    return fold(procedure, mask, int.__and__, int.__or__).bit_count()
 
 
 def resolve_shape(procedure: Procedure, plan: SimulationPlan):

@@ -96,15 +96,17 @@ def test_infeasible_assay_exit_code(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_design_runtime_error_exit_code(monkeypatch, capsys, tmp_path, threads):
-    # A genome asking for 4 measurements per level gets no run from a budget
-    # of 2; raised in a pool worker, the error still exits 4 with a message.
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+def test_design_runtime_error_exit_code(capsys, tmp_path, threads):
+    # A genome may ask for 4 measurements per level, which a budget of 2
+    # cannot hold: the config is refused at load, before any search.
     plan = {"measurements_per_level": 2}
     cfg = _small_config(tmp_path, plan=plan, layout={"optimize_per_level": True})
     code, _, err = _run(capsys, "--config", cfg, "--threads", threads, "design")
-    assert code == EXIT_RUNTIME
-    assert err.startswith("error: per-level budget 2 yields zero runs")
+    assert code == EXIT_CONFIG
+    assert err.startswith(
+        "config error: plan.measurements_per_level 2 yields zero runs of the 4 "
+        "measurements per level the layout can decode"
+    )
 
 
 def test_bad_threads_rejected(capsys):

@@ -191,6 +191,33 @@ def test_plan_size_bounded_by_stream_spacing(tmp_path, capsys):
         assert "measurements_per_level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_layout_budget_that_holds_no_run_is_refused_at_load(tmp_path, capsys, seed):
+    # Some genomes decode 4 measurements per level, which 3 cannot hold;
+    # whether the search meets one used to depend on the seed.
+    config = {
+        "plan": {"measurements_per_level": 3},
+        "layout": {"q": 2, "optimize_per_level": True},
+        "ga": {"population": 4, "generations": 2},
+    }
+    code = main(["--config", _write(tmp_path, config), "--seed", str(seed), "design"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: plan.measurements_per_level 3 yields zero runs of the 4 "
+        "measurements per level the layout can decode\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["compare", "critical-errors"])
+def test_plan_budget_that_holds_no_run_is_refused_at_load(tmp_path, capsys, command):
+    config = {"plan": {"measurements_per_level": 1, "per_level_per_run": 2}}
+    assert main(["--config", _write(tmp_path, config), command]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "config error: measurements_per_level 1 yields zero runs "
+        "of per_level_per_run 2 measurements\n"
+    )
+
+
 def test_largest_plan_restores_after_every_run(tmp_path, capsys):
     # M(4,0.0) rejects nearly every run: the restoration budget is spent.
     path = _write(tmp_path, {"plan": {"measurements_per_level": 8333}})

@@ -3,6 +3,7 @@
 from unittest import mock
 
 import pytest
+import reference_pipeline
 from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import InvalidArgumentError
@@ -220,17 +221,31 @@ class _UncachedEvaluator(PopulationEvaluator):
     drawn afresh for it, with no cache: each estimate runs the pools' first,
     lazy loop, where the shipped evaluator runs most on shared pools."""
 
+    def estimate(self, procedure):
+        pools = draw_condition_pools(
+            new_stream(self.seed, self.stream_id), self.plan.measurements_per_level
+        )
+        return estimate_performance(procedure, self.plan, self.critical, pools)
+
     def evaluate(self, genomes):
         individuals = []
         for genome in genomes:
             procedure = decode(genome)
-            pools = draw_condition_pools(
-                new_stream(self.seed, self.stream_id), self.plan.measurements_per_level
-            )
-            estimate = estimate_performance(procedure, self.plan, self.critical, pools)
+            estimate = self.estimate(procedure)
             fitness = fitness_f(estimate, self.cfg)
             individuals.append(Individual(genome, fitness, estimate, procedure.operator_count))
         return individuals
+
+
+class _ReferenceEvaluator(_UncachedEvaluator):
+    """Estimates every genome with ``reference_pipeline.estimate``: pools of
+    its own per condition, and the closure oracle's run loop in place of
+    the generated loops and the history-free scoring."""
+
+    def estimate(self, procedure):
+        return reference_pipeline.estimate(
+            procedure, self.plan, self.critical, self.seed, self.stream_id
+        )
 
 
 @settings(max_examples=60, deadline=None)
@@ -269,6 +284,45 @@ def test_design_equals_uncached_fresh_pool_design(
     )
     shipped = run_design(**kwargs).to_dict()
     with mock.patch("qcdesign.ga.PopulationEvaluator", _UncachedEvaluator):
+        assert run_design(**kwargs).to_dict() == shipped
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    population=st.integers(1, 6).map(lambda pairs: 2 * pairs),
+    generations=st.integers(0, 4),
+    q=st.integers(1, 4),
+    optimize_levels=st.booleans(),
+    optimize_per_level=st.booleans(),
+    fresh=st.booleans(),
+    kind=st.sampled_from(["single_point", "two_point"]),
+    rate=st.sampled_from([0.0, 0.05]),
+    mpl=st.integers(20, 150),
+    seed=st.integers(1, 2**31 - 2),
+)
+def test_design_equals_the_reference_pipeline_design(
+    sodium_assay, population, generations, q, optimize_levels, optimize_per_level,
+    fresh, kind, rate, mpl, seed,
+):
+    """Differential test of the whole design run against the closure
+    oracle: the shipped run's report, field by field, is the one whose
+    every estimate comes from the plain reference simulation."""
+    kwargs = dict(
+        layout=GenomeLayout(q, optimize_levels, optimize_per_level),
+        plan=SimulationPlan(measurements_per_level=mpl),
+        assay=sodium_assay,
+        cfg=ObjectiveConfig(),
+        params=GaParams(
+            population=population,
+            generations=generations,
+            crossover_kind=kind,
+            mutation_schedule=((0, rate),),
+            seed=seed,
+            fresh_seeds_per_generation=fresh,
+        ),
+    )
+    shipped = run_design(**kwargs).to_dict()
+    with mock.patch("qcdesign.ga.PopulationEvaluator", _ReferenceEvaluator):
         assert run_design(**kwargs).to_dict() == shipped
 
 

@@ -21,6 +21,7 @@ from qcdesign.rules import (
     build_expr,
     canonical_notation,
     count_distinct_propositions,
+    fold,
     min_n,
     rule_statistic,
     rule_test,
@@ -362,6 +363,20 @@ def test_flatten_roundtrip(procedure):
     flat = parse_procedure(canonical_notation(procedure))
     assert flat.rules == procedure.rules
     assert [op.kind for op in flat.operators] == [op.kind for op in procedure.operators]
+
+
+@given(_procedures(max_rules=12))
+def test_fold_meets_each_rule_once_in_rule_order(procedure):
+    """CompiledProcedure names the rules' bounds c0, c1, ... in the order
+    fold meets the rules, so that must be ``procedure.rules`` order; and
+    each operator joins once, by ``both`` at AND and ``either`` at OR."""
+    met, joins = [], []
+    fold(procedure, met.append, lambda *_: joins.append(AND), lambda *_: joins.append(OR))
+    assert len(met) == len(procedure.rules)
+    assert all(seen is rule for seen, rule in zip(met, procedure.rules))
+    assert sorted(kind.value for kind in joins) == sorted(
+        op.kind.value for op in procedure.operators
+    )
 
 
 # ----------------------------------------------------- kernel agreement

@@ -25,7 +25,8 @@ from qcdesign.rules import (
     RuleKind,
     boolean_source,
     bound,
-    build_expr,
+    canonical_notation,
+    fold,
     min_n,
 )
 from qcdesign.simulator import DeviatePool, ErrorCondition, SimulationPlan, simulate_condition
@@ -203,8 +204,29 @@ def test_worst_shapes_simulate_and_match(name, condition):
 
 @pytest.mark.parametrize("name", ["alternating", "rising", "all_or"])
 def test_generated_blocks_nest_at_most_one_per_priority(name):
-    lines = boolean_source(build_expr(_worst_shapes()[name]), lambda rule: "True", "")
+    lines = boolean_source(_worst_shapes()[name], lambda rule: "True", "")
     assert max(len(line) - len(line.lstrip()) for line in lines) <= 4 * 4
+
+
+@pytest.mark.parametrize("name", ["alternating", "rising", "all_or"])
+def test_reading_a_worst_shape_recurses_only_per_priority(name):
+    """A chain of one priority is read in a loop, so each reader stays a
+    few dozen frames deep however long the chain."""
+    procedure = _worst_shapes()[name]
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        notation = canonical_notation(procedure)
+        lines = boolean_source(procedure, str, "")
+        tightest = fold(procedure, bound, max, min)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert notation.count("(") == notation.count(")")
+    assert len([line for line in lines if line.lstrip().startswith("t = ")]) == MAX_RULES
+    assert tightest in {bound(rule) for rule in procedure.rules}
 
 
 @st.composite

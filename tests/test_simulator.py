@@ -167,6 +167,19 @@ def test_plan_validation():
         SimulationPlan(levels=3)
     with pytest.raises(InvalidArgumentError):
         SimulationPlan(per_level_per_run=5)
+    with pytest.raises(InvalidArgumentError, match="measurements_per_level 1 yields zero runs"):
+        SimulationPlan(measurements_per_level=1, per_level_per_run=2)
+    assert SimulationPlan(measurements_per_level=2, per_level_per_run=2).per_level_per_run == 2
+
+
+def test_zero_run_budget_raised_in_a_worker_reaches_the_parent(sodium_critical):
+    # A config cannot ask for this, but an API caller's procedure may carry
+    # a shape whose runs the plan's budget cannot hold.
+    procedure = Procedure(S_1_24.rules, (), levels=2, per_level=4)
+    task = ((procedure,), SimulationPlan(measurements_per_level=2), sodium_critical, 7, 16)
+    with simulator.worker_map(2, 2) as map_tasks:
+        with pytest.raises(InvalidArgumentError, match="per-level budget 2 yields zero runs"):
+            map_tasks(estimate_task, [task, task])
 
 
 def test_more_cannot_overrun_its_stream():
