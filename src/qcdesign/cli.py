@@ -15,7 +15,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 from . import ga as ga_mod
 from .config import JobConfig, load_config
@@ -26,7 +26,7 @@ from .library import builtin_library, load_library_file, parse_procedure
 from .objective import comparison_f1, fitness_f
 from .rng import new_stream
 from .simulator import draw_condition_pools, estimate_performance
-from .stats import ComparisonRow, compare_procedures
+from .stats import compare_procedures
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -81,29 +81,35 @@ def _json_doc(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _fixed(places: int, *values) -> tuple:
-    return tuple(f"{value:.{places}f}" for value in values)
+# The format of a float CSV cell, by column; other floats take 4 places.
+_FORMATS = {"f": ".5f", "f1": ".5f", "k_re": ".3f", "delta_se": ".3f", "sign_p_vs_top": ".6g"}
 
 
-def _csv(header, rows) -> str:
+def _cell(column: str, value):
+    if isinstance(value, float):
+        return format(value, _FORMATS.get(column, ".4f"))
+    return "" if value is None else value
+
+
+def _report(cfg: JobConfig, doc: dict, columns, rows) -> str:
+    """``doc`` as JSON, or in CSV the ``columns`` of each row mapping."""
+    if cfg.output_format != "csv":
+        return _json_doc(doc)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    writer.writerow(columns)
+    writer.writerows([_cell(column, row[column]) for column in columns] for row in rows)
     return buf.getvalue()
 
 
 def cmd_critical_errors(cfg: JobConfig) -> str:
     crit = critical_errors(cfg.assay)
-    if cfg.output_format == "csv":
-        return _csv(("k_re", "delta_se"), [_fixed(3, crit.k_re, crit.delta_se)])
-    return _json_doc(
-        {
-            "assay": report_dict(cfg.assay),
-            "critical_random_error": round(crit.k_re, 3),
-            "critical_systematic_error": round(crit.delta_se, 3),
-        }
-    )
+    doc = {
+        "assay": report_dict(cfg.assay),
+        "critical_random_error": round(crit.k_re, 3),
+        "critical_systematic_error": round(crit.delta_se, 3),
+    }
+    return _report(cfg, doc, ("k_re", "delta_se"), [report_dict(crit)])
 
 
 def _gather_library(cfg: JobConfig):
@@ -114,11 +120,9 @@ def _gather_library(cfg: JobConfig):
 
 
 def cmd_list_library(cfg: JobConfig) -> str:
-    rows = [(e.name, e.source, e.note) for e in _gather_library(cfg)]
-    header = ("name", "source", "note")
-    if cfg.output_format == "csv":
-        return _csv(header, rows)
-    return _json_doc({"entries": [dict(zip(header, row)) for row in rows]})
+    columns = ("name", "source", "note")
+    entries = [{column: getattr(e, column) for column in columns} for e in _gather_library(cfg)]
+    return _report(cfg, {"entries": entries}, columns, entries)
 
 
 def cmd_evaluate(cfg: JobConfig, procedure_text: str) -> str:
@@ -128,20 +132,8 @@ def cmd_evaluate(cfg: JobConfig, procedure_text: str) -> str:
     est = estimate_performance(procedure, cfg.plan, crit, pools)
     f = fitness_f(est, cfg.objective)
     f1 = comparison_f1(est)
-    if cfg.output_format == "csv":
-        return _csv(
-            ("procedure", "p_re", "p_se", "p_fr", "f", "f1"),
-            [(procedure_text, *_fixed(4, est.p_re, est.p_se, est.p_fr), *_fixed(5, f, f1))],
-        )
-    return _json_doc(
-        dict(report_dict(est), procedure=procedure_text, seed=cfg.ga.seed, f=f, f1=f1)
-    )
-
-
-# The mean and SD columns of a comparison row, in field order.
-_COMPARE_COLUMNS = tuple(
-    f.name for f in fields(ComparisonRow) if f.name.startswith(("mean_", "sd_"))
-)
+    doc = dict(report_dict(est), procedure=procedure_text, seed=cfg.ga.seed, f=f, f1=f1)
+    return _report(cfg, doc, ("procedure", "p_re", "p_se", "p_fr", "f", "f1"), [doc])
 
 
 def cmd_compare(cfg: JobConfig, extra_procedures) -> str:
@@ -159,38 +151,20 @@ def cmd_compare(cfg: JobConfig, extra_procedures) -> str:
         base_seed=cfg.ga.seed,
         threads=cfg.threads,
     )
-    if cfg.output_format == "csv":
-        return _csv(
-            ("procedure", *_COMPARE_COLUMNS, "sign_p_vs_top"),
-            [
-                (
-                    row.name,
-                    *_fixed(4, *(getattr(row, column) for column in _COMPARE_COLUMNS)),
-                    "" if row.sign_p_vs_top is None else f"{row.sign_p_vs_top:.6g}",
-                )
-                for row in result.rows
-            ],
-        )
     doc = report_dict(result)
     for row in doc["rows"]:
         del row["f1_values"]  # per-replicate detail behind the sign test
-    return _json_doc(doc)
+    columns = [key for key in doc["rows"][0] if key != "ties_only_vs_top"]
+    return _report(cfg, doc, columns, doc["rows"])
 
 
 def cmd_design(cfg: JobConfig) -> str:
     report = ga_mod.run_design(
         cfg.layout, cfg.plan, cfg.assay, cfg.objective, cfg.ga, threads=cfg.threads
     )
-    if cfg.output_format == "csv":
-        return _csv(
-            ("generation", "procedure", "f", "p_re", "p_se", "p_fr"),
-            [
-                (rec.generation, rec.notation, *_fixed(5, rec.fitness))
-                + _fixed(4, rec.p_re, rec.p_se, rec.p_fr)
-                for rec in report.generation_log
-            ],
-        )
-    return _json_doc(report.to_dict())
+    doc = report.to_dict()
+    log = doc["generation_log"]
+    return _report(cfg, doc, list(log[0]), log)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,13 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .error_model import AssayParams
 from .errors import ConfigError, InvalidArgumentError
-from .ga import MAX_FRESH_SEED_GENERATIONS, OPERATOR_DRAW_BUDGET, GaParams, operator_draws
+from .ga import (
+    CRN_OPERATOR_DRAW_BUDGET,
+    MAX_FRESH_SEED_GENERATIONS,
+    OPERATOR_DRAW_BUDGET,
+    GaParams,
+    operator_draws,
+)
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
 from .simulator import SimulationPlan
@@ -73,20 +79,24 @@ class JobConfig:
                 f"plan.measurements_per_level {self.plan.measurements_per_level} yields zero "
                 f"runs of the {per_level} measurements per level the layout can decode"
             )
-        # Fresh-seed simulation streams start where the operator budget ends.
-        if self.ga.fresh_seeds_per_generation:
-            if self.ga.generations > MAX_FRESH_SEED_GENERATIONS:
-                raise ConfigError(
-                    f"ga: with fresh_seeds_per_generation at most {MAX_FRESH_SEED_GENERATIONS} "
-                    f"generations fit the random streams, got {self.ga.generations}"
-                )
-            draws = operator_draws(self.layout, self.ga)
-            if draws > OPERATOR_DRAW_BUDGET:
-                raise ConfigError(
-                    f"ga: {self.ga.generations} generations at population "
-                    f"{self.ga.population} may draw {draws} operator uniforms; "
-                    f"with fresh_seeds_per_generation the stream holds {OPERATOR_DRAW_BUDGET}"
-                )
+        # The operator stream ends where the first fresh-seed simulation
+        # stream starts, or in common-random-numbers mode at the last
+        # stream id, past which it would replay the simulation streams.
+        fresh = self.ga.fresh_seeds_per_generation
+        if fresh and self.ga.generations > MAX_FRESH_SEED_GENERATIONS:
+            raise ConfigError(
+                f"ga: with fresh_seeds_per_generation at most {MAX_FRESH_SEED_GENERATIONS} "
+                f"generations fit the random streams, got {self.ga.generations}"
+            )
+        budget = OPERATOR_DRAW_BUDGET if fresh else CRN_OPERATOR_DRAW_BUDGET
+        draws = operator_draws(self.layout, self.ga)
+        if draws > budget:
+            mode = "with fresh_seeds_per_generation" if fresh else "in common-random-numbers mode"
+            raise ConfigError(
+                f"ga: {self.ga.generations} generations at population "
+                f"{self.ga.population} may draw {draws} operator uniforms; "
+                f"{mode} the stream holds {budget}"
+            )
 
 
 def default_config() -> JobConfig:

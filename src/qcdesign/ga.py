@@ -44,6 +44,9 @@ _FRESH_SIM_BASE = 100
 # Uniforms the operator stream may draw before it reaches the first
 # fresh-seed simulation stream.
 OPERATOR_DRAW_BUDGET = (_FRESH_SIM_BASE - _OPS_STREAM_ID) * STREAM_JUMP
+# Uniforms it may draw in common-random-numbers mode, before it runs past
+# rng.MAX_STREAM_ID and wraps onto the simulation streams at id 0.
+CRN_OPERATOR_DRAW_BUDGET = (MAX_STREAM_ID + 1 - _OPS_STREAM_ID) * STREAM_JUMP
 # Generations g = 0 .. G of a fresh-seed run whose last simulation reads
 # stream ids up to 100+8G+7 <= rng.MAX_STREAM_ID.
 MAX_FRESH_SEED_GENERATIONS = (MAX_STREAM_ID + 1 - _FRESH_SIM_BASE) // IDS_PER_SIMULATION - 1
@@ -267,7 +270,15 @@ def operator_draws(layout: GenomeLayout, params: GaParams) -> int:
     every child."""
     cuts = _CUTS[params.crossover_kind]
     per_generation = params.population - 1 + params.population // 2 * (1 + cuts)
-    mutating = sum(params.mutation_rate(g) > 0 for g in range(1, params.generations + 1))
+    # A schedule entry sets the rate of generations 1 .. G from its start
+    # up to the next entry's start.
+    last = params.generations + 1
+    ends = [start for start, _ in params.mutation_schedule[1:]] + [last]
+    mutating = sum(
+        max(0, min(end, last) - max(start, 1))
+        for (start, rate), end in zip(params.mutation_schedule, ends)
+        if rate > 0
+    )
     bits = params.population * genome_length(layout)
     return bits * (1 + mutating) + params.generations * per_generation
 

@@ -3,6 +3,7 @@
 import io
 import json
 import tempfile
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -232,10 +233,42 @@ def test_fresh_seed_operator_draws_bounded(tmp_path, capsys, generations, code):
     ga = {"generations": generations, "fresh_seeds_per_generation": True}
     assert main(["--config", _write(tmp_path, {"ga": ga}), "critical-errors"]) == code
     if code == EXIT_CONFIG:
-        assert "operator" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: ga: 250 generations at population 600 may draw 5147750 operator "
+            "uniforms; with fresh_seeds_per_generation the stream holds 5000000\n"
+        )
     # Common-random-number mode simulates on no stream past id 7.
     ga["fresh_seeds_per_generation"] = False
     assert load_config(_write(tmp_path, {"ga": ga})).ga.generations == generations
+
+
+# In common-random-numbers mode the operator stream starts at id 50 and
+# may run to the end of stream rng.MAX_STREAM_ID = 21,473; past it the ids
+# wrap onto the simulation streams 0 .. 7.
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "ga", [{"population": 10**30}, {"population": 2, "generations": 10**30}]
+)
+def test_common_random_number_operator_draws_bounded(tmp_path, capsys, threads, ga):
+    path = _write(tmp_path, {"ga": ga})
+    start = time.perf_counter()
+    assert main(["--config", path, "--threads", threads, "design"]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err.endswith(
+        " operator uniforms; in common-random-numbers mode the stream holds 2142400000\n"
+    )
+
+
+def test_common_random_number_operator_budget_edge(tmp_path):
+    # The initial population draws 2 genomes of 11 bits, then each
+    # generation 3 uniforms (the shuffle, a crossover draw and its cut):
+    # 22 + 3 x 714,133,326 = 2,142,400,000 draws fill the budget exactly.
+    ga = {"population": 2, "generations": 714133326, "mutation_schedule": []}
+    config = {"ga": ga, "layout": {"q": 1, "optimize_levels": False}}
+    assert load_config(_write(tmp_path, config)).ga.generations == 714133326
+    ga["generations"] += 1
+    with pytest.raises(ConfigError, match="may draw 2142400003 operator uniforms"):
+        load_config(_write(tmp_path, config))
 
 
 # Compare's replicate r simulates on stream ids 8r+1 .. 8r+7, and a

@@ -16,7 +16,7 @@ from qcdesign.ga import (
     operator_draws,
     run_design,
 )
-from qcdesign.genome import Genome, GenomeLayout, decode, encode
+from qcdesign.genome import Genome, GenomeLayout, decode, encode, genome_length
 from qcdesign.objective import ObjectiveConfig, fitness_f
 from qcdesign.rng import RandomStream, new_stream
 from qcdesign.rules import Procedure, Rule, RuleKind
@@ -326,6 +326,31 @@ def test_design_equals_the_reference_pipeline_design(
         assert run_design(**kwargs).to_dict() == shipped
 
 
+@pytest.mark.parametrize("optimize_per_level", [False, True])
+@pytest.mark.parametrize("fresh", [False, True])
+def test_design_on_two_processes_equals_the_reference_pipeline_design(
+    monkeypatch, sodium_assay, fresh, optimize_per_level
+):
+    """The same differential on a real two-process pool: the batches that
+    workers simulate give the report of the plain reference simulation."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool even on 1 core
+    kwargs = dict(
+        layout=GenomeLayout(q=3, optimize_per_level=optimize_per_level),
+        plan=SimulationPlan(measurements_per_level=120),
+        assay=sodium_assay,
+        cfg=ObjectiveConfig(),
+        params=_params(
+            population=8,
+            generations=3,
+            mutation_schedule=((0, 0.0), (2, 0.05)),
+            fresh_seeds_per_generation=fresh,
+        ),
+    )
+    shipped = run_design(**kwargs, threads=2).to_dict()
+    with mock.patch("qcdesign.ga.PopulationEvaluator", _ReferenceEvaluator):
+        assert run_design(**kwargs).to_dict() == shipped
+
+
 def test_synonym_genomes_share_one_simulation(monkeypatch, sodium_critical, sodium_plan):
     import qcdesign.simulator as simulator
 
@@ -382,6 +407,37 @@ def test_operator_draws_exact_when_every_pair_crosses(monkeypatch, sodium_assay,
     run_design(LAYOUT, plan, sodium_assay, ObjectiveConfig(), params)
     # initial population, 4 shuffles and pair draws, mutation in generations 2-3
     assert streams[50].draws == operator_draws(LAYOUT, params)
+
+
+def _operator_draws_per_generation(layout, params):
+    """``operator_draws`` with the mutating generations counted one by one."""
+    cuts = 2 if params.crossover_kind == "two_point" else 1
+    per_generation = params.population - 1 + params.population // 2 * (1 + cuts)
+    mutating = sum(params.mutation_rate(g) > 0 for g in range(1, params.generations + 1))
+    bits = params.population * genome_length(layout)
+    return bits * (1 + mutating) + params.generations * per_generation
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    starts=st.sets(st.integers(0, 220), max_size=6),
+    rates=st.lists(st.sampled_from([0.0, 0.0005, 0.5, 1]), min_size=6, max_size=6),
+    generations=st.integers(0, 200),
+    population=st.integers(1, 50).map(lambda pairs: 2 * pairs),
+    kind=st.sampled_from(["single_point", "two_point"]),
+    q=st.integers(1, 4),
+)
+def test_operator_draws_closed_form_counts_every_mutating_generation(
+    starts, rates, generations, population, kind, q
+):
+    params = GaParams(
+        population=population,
+        generations=generations,
+        crossover_kind=kind,
+        mutation_schedule=tuple(zip(sorted(starts), rates)),
+    )
+    layout = GenomeLayout(q=q)
+    assert operator_draws(layout, params) == _operator_draws_per_generation(layout, params)
 
 
 class _StubStream:

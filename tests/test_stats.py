@@ -276,3 +276,24 @@ def test_compare_equals_the_reference_pipeline(sodium_critical, case, replicates
     )
     expected = reference_pipeline.compare(named, plan, sodium_critical, replicates, seed)
     assert result == expected
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        SimulationPlan(measurements_per_level=100),
+        SimulationPlan(measurements_per_level=60, levels=1, per_level_per_run=3),
+    ],
+)
+def test_compare_on_two_processes_equals_the_reference_pipeline(
+    monkeypatch, sodium_critical, plan
+):
+    """Replicates simulated on a real two-process pool give the reference
+    comparison, for history-free procedures and ones that read older runs."""
+    monkeypatch.setattr("os.cpu_count", lambda: 2)  # a real pool even on 1 core
+    texts = ("1_2.5s", "1_2.5s/2_2.0s", "1_2.5s/2_2.0s/R_4s/4_1s", "M(4,0.6) OR D(3,1.2)")
+    named = [(text, parse_procedure(text)) for text in texts]
+    result = compare_procedures(
+        named, plan, sodium_critical, replicates=4, base_seed=2**31 - 2, threads=2
+    )
+    assert result == reference_pipeline.compare(named, plan, sodium_critical, 4, 2**31 - 2)
