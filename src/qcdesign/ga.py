@@ -20,7 +20,9 @@ from typing import Callable, Optional, Sequence
 
 from .error_model import AssayParams, CriticalErrors, critical_errors
 from .errors import InvalidArgumentError
-from .genome import Genome, GenomeLayout, decode, genome_length, hamming_distance
+from .genome import (
+    Genome, GenomeLayout, crossover, decode, from_bits, genome_length, hamming_distance, mutate,
+)
 from .objective import ObjectiveConfig, comparison_f1, fitness_f
 from .rng import DEFAULT_MODULUS, MAX_STREAM_ID, STREAM_JUMP, RandomStream, new_stream
 from .rules import canonical_notation
@@ -187,28 +189,16 @@ def _shuffle(items: list, rng: RandomStream) -> None:
 
 
 def _crossover(a: Genome, b: Genome, params: GaParams, rng: RandomStream):
-    """Swap the bits between two cuts; a single-point cut is a two-point
-    cut whose second cut is the genome's end."""
-    length = len(a.bits)
-    cuts = [1 + int(rng.next_uniform() * (length - 1))
-            for _ in range(_CUTS[params.crossover_kind])]
-    lo, hi = sorted(cuts + [length])[:2]
-    return (
-        Genome(a.bits[:lo] + b.bits[lo:hi] + a.bits[hi:], a.layout),
-        Genome(b.bits[:lo] + a.bits[lo:hi] + b.bits[hi:], a.layout),
-    )
+    """Draws one uniform per cut; a single-point cut is a two-point cut
+    whose second cut is the genome's end."""
+    return crossover(a, b, [rng.next_uniform() for _ in range(_CUTS[params.crossover_kind])])
 
 
 def _mutate(genome: Genome, rate: float, rng: RandomStream) -> Genome:
+    """Draws one uniform per bit, in layout order, while ``rate`` > 0."""
     if rate <= 0.0:
         return genome
-    bits = list(genome.bits)
-    changed = False
-    for i in range(len(bits)):
-        if rng.next_uniform() < rate:
-            bits[i] ^= 1
-            changed = True
-    return Genome(tuple(bits), genome.layout) if changed else genome
+    return mutate(genome, [rng.next_uniform() for _ in range(genome_length(genome.layout))], rate)
 
 
 def crowding_generation(
@@ -323,8 +313,8 @@ class DesignReport:
 
 
 def _random_genome(layout: GenomeLayout, rng: RandomStream) -> Genome:
-    length = genome_length(layout)
-    return Genome(tuple(1 if rng.next_uniform() < 0.5 else 0 for _ in range(length)), layout)
+    """Bit i is 1 where uniform i, in layout order, is below 0.5."""
+    return from_bits([rng.next_uniform() < 0.5 for _ in range(genome_length(layout))], layout)
 
 
 def _record(generation: int, best: Individual) -> GenerationRecord:
@@ -365,6 +355,12 @@ def run_design(
             if prev is None or ind.fitness < prev.fitness:
                 best_seen[notation] = ind
 
+    # After the initial population only a replacing child joins; note it then.
+    def replaced(parent, child):
+        note_best([child])
+        if on_replacement is not None:
+            on_replacement(parent, child)
+
     # One pool for the whole run: the batches are a generation apart.
     with worker_map(threads, params.population) as map_tasks:
 
@@ -390,9 +386,8 @@ def run_design(
                 evaluator.evaluate,
                 ops_rng,
                 generation=generation,
-                on_replacement=on_replacement,
+                on_replacement=replaced,
             )
-            note_best(population)
             log.append(_record(generation, min(population, key=lambda ind: ind.fitness)))
 
     ranked = sorted(

@@ -1,6 +1,7 @@
 """Fixed-width bit-string encoding of QC procedures.
 
-Layout, most-significant bit first within each field:
+A genome is one int whose most significant bit is the layout's first.
+Only this module reads the layout, most-significant bit first in a field:
 
   rule slot (11 bits): flag(1) kind(2) n(2) limit(6)
   operator slot (3 bits): kind(1, 0=AND 1=OR) priority(2)
@@ -44,19 +45,16 @@ class GenomeLayout:
 
 @dataclass(frozen=True)
 class Genome:
-    bits: tuple
+    bits: int
     layout: GenomeLayout
 
     def __post_init__(self):
-        if len(self.bits) != genome_length(self.layout):
-            raise InvalidArgumentError(
-                f"genome length {len(self.bits)} does not match layout "
-                f"length {genome_length(self.layout)}"
-            )
+        length = genome_length(self.layout)
+        if type(self.bits) is not int or not 0 <= self.bits < 1 << length:  # type(): no bool
+            raise InvalidArgumentError(f"genome bits must be an int in [0, 2**{length})")
 
     def to_hex(self) -> str:
-        width = (len(self.bits) + 3) // 4
-        return f"0x{_bits_to_int(self.bits):0{width}x}"
+        return f"0x{self.bits:0{(genome_length(self.layout) + 3) // 4}x}"
 
 
 def genome_length(layout: GenomeLayout) -> int:
@@ -68,15 +66,24 @@ def genome_length(layout: GenomeLayout) -> int:
     return length
 
 
-def _bits_to_int(bits) -> int:
-    value = 0
-    for bit in bits:
-        value = value << 1 | bit
-    return value
+def _read(bits: int, length: int, start: int, width: int) -> int:
+    """The ``width``-bit field at layout position ``start`` of ``length`` bits."""
+    return bits >> (length - start - width) & ((1 << width) - 1)
 
 
-def _int_to_bits(value: int, width: int) -> tuple:
-    return tuple((value >> (width - 1 - i)) & 1 for i in range(width))
+def _append(bits: int, *fields) -> int:
+    """``bits`` followed by each (width, value) field in turn."""
+    for width, value in fields:
+        bits = bits << width | value
+    return bits
+
+
+def from_bits(bits, layout: GenomeLayout) -> Genome:
+    """The genome whose bits, in layout order, are ``bits``: 0s and 1s (or bools)."""
+    bits = tuple(bits)
+    if len(bits) != genome_length(layout) or not set(bits) <= {0, 1}:
+        raise InvalidArgumentError(f"{genome_length(layout)} bits of 0 or 1 expected, got {bits}")
+    return Genome(_append(0, *((1, bit) for bit in bits)), layout)
 
 
 def decode(genome: Genome) -> Procedure:
@@ -84,33 +91,31 @@ def decode(genome: Genome) -> Procedure:
     operator slot before each after the first. Total on well-formed lengths."""
     layout = genome.layout
     bits = genome.bits
+    length = genome_length(layout)
     q = layout.q
     op_base = RULE_BITS * q
 
     rules, operators = [], []
     for i in range(q):
         base = RULE_BITS * i
-        if not bits[base]:
+        if not _read(bits, length, base, 1):
             continue
         if rules:
             # operator slot i-1 sits immediately before rule slot i
             op = op_base + OP_BITS * (i - 1)
-            kind = OperatorKind.OR if bits[op] else OperatorKind.AND
-            operators.append(Operator(kind, _bits_to_int(bits[op + 1 : op + 3])))
-        kind = _KIND_ORDER[_bits_to_int(bits[base + 1 : base + 3])]
-        n = max(min_n(kind), _bits_to_int(bits[base + 3 : base + 5]) + 1)
-        rules.append(Rule(kind, n, round(0.1 * _bits_to_int(bits[base + 5 : base + 11]), 1)))
+            kind = OperatorKind.OR if _read(bits, length, op, 1) else OperatorKind.AND
+            operators.append(Operator(kind, _read(bits, length, op + 1, 2)))
+        kind = _KIND_ORDER[_read(bits, length, base + 1, 2)]
+        n = max(min_n(kind), _read(bits, length, base + 3, 2) + 1)
+        rules.append(Rule(kind, n, round(0.1 * _read(bits, length, base + 5, 6), 1)))
 
     tail = op_base + OP_BITS * (q - 1)
+    levels, per_level = layout.fixed_levels, layout.fixed_per_level
     if layout.optimize_levels:
-        levels = 2 if bits[tail] else 1
+        levels = _read(bits, length, tail, 1) + 1
         tail += 1
-    else:
-        levels = layout.fixed_levels
     if layout.optimize_per_level:
-        per_level = _bits_to_int(bits[tail : tail + 2]) + 1
-    else:
-        per_level = layout.fixed_per_level
+        per_level = _read(bits, length, tail, 2) + 1
 
     return Procedure(tuple(rules), tuple(operators), levels, per_level)
 
@@ -121,49 +126,48 @@ def encode(procedure: Procedure, layout: GenomeLayout) -> Genome:
         raise InvalidArgumentError(
             f"procedure has {len(procedure.rules)} rules, layout allows {layout.q}"
         )
-    bits = []
+    bits = 0
     for rule in procedure.rules:
         limit_code = round(rule.limit * 10)
         if not 0 <= limit_code <= 63 or round(0.1 * limit_code, 1) != rule.limit:
             raise InvalidArgumentError(
                 f"limit {rule.limit} is not a multiple of 0.1 in [0, 6.3]"
             )
-        bits.append(1)
-        bits.extend(_int_to_bits(_KIND_CODE[rule.kind], 2))
-        bits.extend(_int_to_bits(rule.n - 1, 2))
-        bits.extend(_int_to_bits(limit_code, 6))
-    for _ in range(layout.q - len(procedure.rules)):
-        bits.extend([0] * RULE_BITS)
+        bits = _append(bits, (1, 1), (2, _KIND_CODE[rule.kind]), (2, rule.n - 1), (6, limit_code))
+    bits = _append(bits, (RULE_BITS * (layout.q - len(procedure.rules)), 0))
     for op in procedure.operators:
-        bits.append(1 if op.kind is OperatorKind.OR else 0)
-        bits.extend(_int_to_bits(op.priority, 2))
-    for _ in range(layout.q - 1 - len(procedure.operators)):
-        bits.extend([0] * OP_BITS)
-
-    if layout.optimize_levels:
-        levels = procedure.levels if procedure.levels is not None else layout.fixed_levels
-        bits.append(levels - 1)
-    elif procedure.levels is not None and procedure.levels != layout.fixed_levels:
-        raise InvalidArgumentError(
-            f"procedure levels {procedure.levels} conflict with fixed "
-            f"layout levels {layout.fixed_levels}"
-        )
-    if layout.optimize_per_level:
-        per_level = (
-            procedure.per_level if procedure.per_level is not None else layout.fixed_per_level
-        )
-        bits.extend(_int_to_bits(per_level - 1, 2))
-    elif procedure.per_level is not None and procedure.per_level != layout.fixed_per_level:
-        raise InvalidArgumentError(
-            f"procedure per_level {procedure.per_level} conflicts with fixed "
-            f"layout per_level {layout.fixed_per_level}"
-        )
-    return Genome(tuple(bits), layout)
+        bits = _append(bits, (1, 1 if op.kind is OperatorKind.OR else 0), (2, op.priority))
+    bits = _append(bits, (OP_BITS * (layout.q - 1 - len(procedure.operators)), 0))
+    # The shape fields: code u is u + 1 levels or measurements per level.
+    for name, width in (("levels", 1), ("per_level", 2)):
+        value, fixed = getattr(procedure, name), getattr(layout, f"fixed_{name}")
+        if getattr(layout, f"optimize_{name}"):
+            bits = _append(bits, (width, (fixed if value is None else value) - 1))
+        elif value is not None and value != fixed:
+            raise InvalidArgumentError(
+                f"procedure {name} {value} conflicts with fixed layout {name} {fixed}"
+            )
+    return Genome(bits, layout)
 
 
 def hamming_distance(a: Genome, b: Genome) -> int:
-    if len(a.bits) != len(b.bits):
-        raise InvalidArgumentError(
-            f"genome lengths differ: {len(a.bits)} vs {len(b.bits)}"
-        )
-    return sum(x != y for x, y in zip(a.bits, b.bits))
+    length_a, length_b = genome_length(a.layout), genome_length(b.layout)
+    if length_a != length_b:
+        raise InvalidArgumentError(f"genome lengths differ: {length_a} vs {length_b}")
+    return (a.bits ^ b.bits).bit_count()
+
+
+def crossover(a: Genome, b: Genome, uniforms) -> tuple:
+    """``a`` and ``b`` with the bits between two cuts swapped: cut i at
+    layout position 1 + int(uniform i * (length - 1)), and by default a
+    second cut at the end."""
+    length = genome_length(a.layout)
+    lo, hi = sorted([1 + int(u * (length - 1)) for u in uniforms] + [length])[:2]
+    swap = (a.bits ^ b.bits) & ((1 << (hi - lo)) - 1) << (length - hi)
+    return Genome(a.bits ^ swap, a.layout), Genome(b.bits ^ swap, a.layout)
+
+
+def mutate(genome: Genome, uniforms, rate: float) -> Genome:
+    """``genome`` with bit i flipped where uniform i is below ``rate``."""
+    flips = from_bits([u < rate for u in uniforms], genome.layout).bits
+    return Genome(genome.bits ^ flips, genome.layout) if flips else genome

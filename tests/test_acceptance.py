@@ -35,7 +35,7 @@ from qcdesign import (
 )
 from qcdesign.cli import main as cli_main
 from qcdesign.error_model import single_value_power_oracle
-from qcdesign.genome import Genome
+from qcdesign.genome import from_bits
 from qcdesign.rules import Operator, OperatorKind, min_n
 from qcdesign.simulator import PerformanceEstimate
 
@@ -294,7 +294,7 @@ def test_criterion_9_codec_properties():
     decode_total = True
     for _ in range(1000):
         bits = tuple(1 if rng.next_uniform() < 0.5 else 0 for _ in range(length))
-        procedure = decode(Genome(bits, layout))
+        procedure = decode(from_bits(bits, layout))
         if len(procedure.operators) != max(len(procedure.rules) - 1, 0):
             decode_total = False
 

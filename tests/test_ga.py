@@ -12,17 +12,24 @@ from qcdesign.ga import (
     Individual,
     PopulationEvaluator,
     _crossover,
+    _mutate,
+    _random_genome,
     crowding_generation,
     operator_draws,
     run_design,
 )
-from qcdesign.genome import Genome, GenomeLayout, decode, encode, genome_length
+from qcdesign.genome import GenomeLayout, decode, encode, from_bits, genome_length
 from qcdesign.objective import ObjectiveConfig, fitness_f
 from qcdesign.rng import RandomStream, new_stream
 from qcdesign.rules import Procedure, Rule, RuleKind
 from qcdesign.simulator import SimulationPlan, draw_condition_pools, estimate_performance
 
 LAYOUT = GenomeLayout(q=3, optimize_levels=True)
+
+
+def _bits(genome):
+    """A genome's bits in layout order, as a tuple of 0s and 1s."""
+    return tuple(map(int, format(genome.bits, f"0{genome_length(genome.layout)}b")))
 
 
 def _params(**overrides):
@@ -117,9 +124,7 @@ def test_tiebreak_prefers_fewer_operators():
         )
 
     ones = tuple(itertools.repeat(1, genome_length(LAYOUT)))
-    from qcdesign.genome import Genome
-
-    rich = fake_evaluate(Genome(ones, LAYOUT))  # three rules, two operators
+    rich = fake_evaluate(from_bits(ones, LAYOUT))  # three rules, two operators
     population = [rich, rich]
     replacements = []
     next_population = crowding_generation(
@@ -364,7 +369,8 @@ def test_synonym_genomes_share_one_simulation(monkeypatch, sodium_critical, sodi
     monkeypatch.setattr(simulator, "estimate_performance", counted)
     genome = encode(Procedure((Rule(RuleKind.MEAN, 2, 1.9),), (), levels=2), LAYOUT)
     # Rule slot 2 is disabled (flag bit 11 is 0); its other bits are ignored.
-    synonym = Genome(genome.bits[:12] + (1,) * 10 + genome.bits[22:], LAYOUT)
+    bits = _bits(genome)
+    synonym = from_bits(bits[:12] + (1,) * 10 + bits[22:], LAYOUT)
     assert synonym != genome
     first, second = PopulationEvaluator(
         sodium_plan, sodium_critical, ObjectiveConfig(), 12345, 0
@@ -471,13 +477,42 @@ def test_crossover_children_and_draws(kind, uniforms, segments):
     child two the reverse. A single-point cut draws one uniform, a
     two-point cut two."""
     length = 40  # LAYOUT's genome length
-    a = Genome(tuple(i % 2 for i in range(length)), LAYOUT)
-    b = Genome(tuple(1 - i % 2 for i in range(length)), LAYOUT)
+    a_bits = tuple(i % 2 for i in range(length))
+    b_bits = tuple(1 - i % 2 for i in range(length))
+    a, b = from_bits(a_bits, LAYOUT), from_bits(b_bits, LAYOUT)
     rng = _StubStream(*uniforms, 0.5)
     child1, child2 = _crossover(a, b, _params(crossover_kind=kind), rng)
     head, middle, tail = segments
     assert head + middle + tail == length
-    assert child1.bits == a.bits[:head] + b.bits[head : head + middle] + a.bits[head + middle :]
-    assert child2.bits == b.bits[:head] + a.bits[head : head + middle] + b.bits[head + middle :]
+    assert _bits(child1) == a_bits[:head] + b_bits[head : head + middle] + a_bits[head + middle :]
+    assert _bits(child2) == b_bits[:head] + a_bits[head : head + middle] + b_bits[head + middle :]
     assert child1.layout == child2.layout == LAYOUT
     assert rng.draws == len(uniforms) and rng.uniforms == [0.5]
+
+
+_UNIFORM = st.one_of(st.floats(0, 1, exclude_max=True), st.sampled_from([0.0, 0.25, 0.5]))
+
+
+@given(
+    bits=st.lists(st.integers(0, 1), min_size=40, max_size=40),
+    uniforms=st.lists(_UNIFORM, min_size=40, max_size=40),
+    rate=st.sampled_from([0.0005, 0.25, 0.5, 1.0]),
+)
+def test_mutation_flips_each_bit_whose_uniform_is_below_the_rate(bits, uniforms, rate):
+    """Bit i flips exactly when uniform i < rate, and a mutation draws one
+    uniform per bit, in layout order; at rate 0 it draws none."""
+    genome = from_bits(bits, LAYOUT)
+    rng = _StubStream(*uniforms, 0.5)
+    mutant = _mutate(genome, rate, rng)
+    assert _bits(mutant) == tuple(bit ^ (u < rate) for bit, u in zip(bits, uniforms))
+    assert mutant.layout == LAYOUT
+    assert rng.draws == 40 and rng.uniforms == [0.5]
+    assert _mutate(genome, 0.0, rng) is genome and rng.draws == 40
+
+
+@given(uniforms=st.lists(_UNIFORM, min_size=40, max_size=40))
+def test_random_genome_sets_each_bit_from_one_uniform(uniforms):
+    rng = _StubStream(*uniforms, 0.5)
+    genome = _random_genome(LAYOUT, rng)
+    assert _bits(genome) == tuple(int(u < 0.5) for u in uniforms)
+    assert rng.draws == 40 and rng.uniforms == [0.5]

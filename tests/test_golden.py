@@ -14,6 +14,7 @@ renders every case, the design cases also on two processes, and exits 1
 if any report differs from its fixture.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
@@ -106,6 +107,32 @@ def test_design_on_two_processes_matches_fixture(tmp_path, monkeypatch, stem, co
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     report = _report(tmp_path, config, fmt, ["--threads", "2", "design"])
     assert report == (GOLDEN / _fixture(stem, fmt)).read_bytes()
+
+
+# The golden design and compare, serial, for the eviction check below.
+EVICTED = [
+    ("design", _DESIGN, ["design"]),
+    ("compare", _COMPARE, ["compare", *_COMPARE_EXTRA]),
+]
+
+
+@parametrize("stem, config, argv", EVICTED, ids=[stem for stem, _, _ in EVICTED])
+def test_reports_match_fixtures_when_compiled_loops_are_evicted(
+    tmp_path, monkeypatch, stem, config, argv
+):
+    """With room for 4 compiled loops of each kind, the loops are evicted
+    and compiled again throughout, as at the default design's scale, and
+    no report may change. One process, since a worker process that does
+    not fork from this one would not see the smaller caches."""
+    from qcdesign import simulator
+
+    for name in ("run_loop", "statistic_loop"):
+        small = functools.lru_cache(maxsize=4)(getattr(simulator, name).__wrapped__)
+        monkeypatch.setattr(simulator, name, small)
+    report = _report(tmp_path, config, "doc", ["--threads", "1", *argv])
+    assert report == (GOLDEN / _fixture(stem, "doc")).read_bytes()
+    # More compiles than the cache holds: some loop was evicted.
+    assert simulator.run_loop.cache_info().misses > 4
 
 
 def _freeze() -> None:

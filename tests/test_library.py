@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qcdesign.errors import ProcedureParseError
-from qcdesign.genome import Genome, GenomeLayout, decode, genome_length
+from qcdesign.genome import GenomeLayout, decode, from_bits, genome_length
 from qcdesign.library import (
     MAX_NESTING,
     builtin_library,
@@ -202,7 +202,7 @@ def _decoded_procedures(draw):
     )
     length = genome_length(layout)
     bits = draw(st.lists(st.integers(0, 1), min_size=length, max_size=length))
-    return decode(Genome(tuple(bits), layout))
+    return decode(from_bits(bits, layout))
 
 
 @settings(max_examples=300, deadline=None)
