@@ -20,7 +20,6 @@ from .rules import (
     Procedure,
     Rule,
     RuleKind,
-    build_expr,
     canonical_notation,
     count_distinct_propositions,
 )

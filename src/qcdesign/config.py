@@ -32,8 +32,6 @@ from .objective import ObjectiveConfig
 from .simulator import SimulationPlan
 from .stats import MAX_REPLICATES
 
-DEFAULT_SEED = 12345
-
 _JSON_TYPE_NAMES = {
     int: "integer",
     float: "number",
@@ -103,9 +101,9 @@ def default_config() -> JobConfig:
     return JobConfig(
         assay=AssayParams(sd=0.67, bias=0.1, tea=4.0, alpha=0.01),
         objective=ObjectiveConfig(),
-        ga=GaParams(seed=DEFAULT_SEED),
-        plan=SimulationPlan(measurements_per_level=1000, levels=2, per_level_per_run=1),
-        layout=GenomeLayout(q=3, optimize_levels=True, fixed_per_level=1),
+        ga=GaParams(),
+        plan=SimulationPlan(),
+        layout=GenomeLayout(q=3, optimize_levels=True),
     )
 
 

@@ -18,19 +18,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 from .errors import InvalidArgumentError
 
 LIMIT_MAX = 6.3
 N_MAX = 4
 # Most rules in one procedure (procedure text and layout.q alike). Reading
-# an expression recurses only per priority (:func:`fold`), but a
-# ``Leaf``/``Node`` tree's equality and hashing recurse once per operator
-# of a chain, and a generated run loop holds a test per rule, so this bound
-# keeps both far inside the recursion limit and a loop's source small.
+# an expression recurses only per priority (:func:`fold`), and a generated
+# run loop holds a test per rule, so this bound keeps a loop's source small.
 MAX_RULES = 256
 
 
@@ -69,7 +66,7 @@ class Rule:
             )
 
     def __str__(self):
-        return f"{self.kind.value}({self.n},{self.limit:.1f})"
+        return f"{self.kind.value}({self.n},{float(self.limit)!r})"
 
 
 @dataclass(frozen=True)
@@ -118,21 +115,6 @@ def check_shape(levels: int, per_level: int, names: Sequence[str]) -> None:
         raise InvalidArgumentError(f"{names[0]} must be 1 or 2, got {levels}")
     if not 1 <= per_level <= 4:
         raise InvalidArgumentError(f"{names[1]} must be in [1, 4], got {per_level}")
-
-
-@dataclass(frozen=True)
-class Leaf:
-    rule: Rule
-
-
-@dataclass(frozen=True)
-class Node:
-    op: OperatorKind
-    left: "ExprTree"
-    right: "ExprTree"
-
-
-ExprTree = Union[Leaf, Node, None]
 
 
 # The one definition of a rule: per kind, the source of the terms its test
@@ -239,11 +221,6 @@ def fold(procedure: Procedure, leaf: Callable, both: Callable, either: Callable)
     return parse(0)
 
 
-def build_expr(procedure: Procedure) -> ExprTree:
-    """The procedure's expression as a tree, as :func:`fold` groups it."""
-    return fold(procedure, Leaf, partial(Node, OperatorKind.AND), partial(Node, OperatorKind.OR))
-
-
 def boolean_source(procedure: Procedure, leaf: Callable[[Rule], str], indent: str) -> list:
     """Lines that set ``t`` to the truth of the procedure's expression,
     ``leaf(rule)`` giving each rule's test; AND and OR short-circuit. A
@@ -286,19 +263,19 @@ def count_distinct_propositions(max_rules: int) -> int:
     if max_rules > 4:
         raise InvalidArgumentError("enumeration supports max_rules <= 4")
 
-    # The truth table of a procedure is its fold over 16-bit masks, once
-    # per tree: in row r an atom of class c holds when bit c of r is set,
-    # and rule i of a placeholder sequence stands for the atom in position i.
+    # The truth table of a procedure is its fold over 16-bit masks, once per
+    # canonical notation: in row r an atom of class c holds when bit c of r
+    # is set, and rule i of a placeholder sequence stands for atom i.
     atom_rows = [sum(1 << row for row in range(16) if row >> c & 1) for c in range(4)]
     seen = set()
     op_space = list(product(OperatorKind, range(4)))
     for count in range(1, max_rules + 1):
-        slots = tuple(Rule(RuleKind.SINGLE_VALUE, 1, 0.1 * i) for i in range(count))
+        slots = tuple(Rule(RuleKind.SINGLE_VALUE, 1, i / 10) for i in range(count))
         procedures = (
             Procedure(slots, tuple(Operator(kind, prio) for kind, prio in choice))
             for choice in product(op_space, repeat=count - 1)
         )
-        for procedure in {build_expr(p): p for p in procedures}.values():
+        for procedure in {canonical_notation(p): p for p in procedures}.values():
             for atoms in product(atom_rows, repeat=count):
                 rows = dict(zip(slots, atoms))
                 seen.add(fold(procedure, rows.__getitem__, int.__and__, int.__or__))

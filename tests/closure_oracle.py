@@ -1,17 +1,18 @@
 """The closure-based rule kernel and run loop that the generated run loops
 replaced, kept verbatim as the oracle of the differential tests.
 
-``rule_predicate`` and ``compile_expr`` are the former ``qcdesign.rules``
-functions; :func:`simulate` is the former body of
-``simulator.simulate_condition`` after its argument checks, returning the
-reject count instead of the fraction.
+``rule_predicate`` is the former ``qcdesign.rules`` function, and
+:func:`compile_procedure` folds its closures through ``rules.fold``;
+:func:`simulate` is the former body of ``simulator.simulate_condition``
+after its argument checks, returning the reject count instead of the
+fraction. :func:`grouping` spells out how ``rules.fold`` groups a procedure.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from qcdesign.rules import ExprTree, Leaf, OperatorKind, Procedure, Rule, RuleKind, build_expr
+from qcdesign.rules import Procedure, Rule, RuleKind, fold
 
 
 def rule_predicate(rule: Rule) -> Callable[[Sequence[Sequence[float]]], bool]:
@@ -59,18 +60,23 @@ def rule_predicate(rule: Rule) -> Callable[[Sequence[Sequence[float]]], bool]:
     return holds
 
 
-def compile_expr(expr: ExprTree, leaf: Callable[[Rule], Callable]) -> Callable:
-    """The one walk from a tree to a predicate, ``leaf(rule)`` giving each
-    rule's; AND and OR short-circuit, and the empty tree never holds."""
-    if expr is None:
-        return lambda arg: False
-    if isinstance(expr, Leaf):
-        return leaf(expr.rule)
-    left = compile_expr(expr.left, leaf)
-    right = compile_expr(expr.right, leaf)
-    if expr.op is OperatorKind.AND:
-        return lambda arg: left(arg) and right(arg)
-    return lambda arg: left(arg) or right(arg)
+def compile_procedure(procedure: Procedure, leaf: Callable[[Rule], Callable]) -> Callable:
+    """The procedure's predicate, folded through ``rules.fold`` from
+    ``leaf(rule)`` for each rule; AND and OR short-circuit, and the empty
+    procedure never holds."""
+    predicate = fold(
+        procedure,
+        leaf,
+        lambda left, right: lambda arg: left(arg) and right(arg),
+        lambda left, right: lambda arg: left(arg) or right(arg),
+    )
+    return (lambda arg: False) if predicate is None else predicate
+
+
+def grouping(procedure: Procedure):
+    """The procedure's grouping as nested ``("AND" | "OR", left, right)``
+    tuples over its rules, as ``rules.fold`` reads it; ``None`` if empty."""
+    return fold(procedure, lambda rule: rule, lambda a, b: ("AND", a, b), lambda a, b: ("OR", a, b))
 
 
 def simulate(
@@ -85,7 +91,7 @@ def simulate(
 ) -> int:
     """Reject count of ``runs`` runs, as the closure-based loop counted it."""
     max_window = max((r.n for r in procedure.rules), default=0)
-    evaluate = compile_expr(build_expr(procedure), rule_predicate)
+    evaluate = compile_procedure(procedure, rule_predicate)
     # The windows only grow: every predicate reads the last n <= max_window
     # values, and a rejection resets each window to max_window values (at
     # least one: only a non-empty procedure rejects).

@@ -5,6 +5,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from closure_oracle import grouping
 from qcdesign.errors import ProcedureParseError
 from qcdesign.genome import GenomeLayout, decode, from_bits, genome_length
 from qcdesign.library import (
@@ -14,14 +15,11 @@ from qcdesign.library import (
     parse_procedure,
 )
 from qcdesign.rules import (
-    Leaf,
-    Node,
     Operator,
     OperatorKind,
     Procedure,
     Rule,
     RuleKind,
-    build_expr,
     canonical_notation,
 )
 
@@ -179,16 +177,17 @@ def test_westgard_and_canonical_agree():
 def _truth_table(procedure):
     """Verdict for every assignment of truth values to the distinct rules."""
     atoms = {rule: i for i, rule in enumerate(dict.fromkeys(procedure.rules))}
-    tree = build_expr(procedure)
+    tree = grouping(procedure)
 
     def holds(node, row):
         if node is None:
             return False
-        if isinstance(node, Leaf):
-            return bool(row >> atoms[node.rule] & 1)
-        if node.op is OperatorKind.AND:
-            return holds(node.left, row) and holds(node.right, row)
-        return holds(node.left, row) or holds(node.right, row)
+        if isinstance(node, Rule):
+            return bool(row >> atoms[node] & 1)
+        op, left, right = node
+        if op == "AND":
+            return holds(left, row) and holds(right, row)
+        return holds(left, row) or holds(right, row)
 
     return [holds(tree, row) for row in range(2 ** len(atoms))]
 
@@ -223,9 +222,8 @@ def test_long_same_operator_chain_round_trips():
 
 def test_right_grouping_is_kept_exactly():
     text = "S(1,2.0) OR ((S(1,2.1) AND S(1,2.2)) OR S(1,2.3))"
-    a, b, c, d = (Leaf(Rule(S, 1, limit)) for limit in (2.0, 2.1, 2.2, 2.3))
-    OR, AND = OperatorKind.OR, OperatorKind.AND
-    assert build_expr(parse_procedure(text)) == Node(OR, a, Node(OR, Node(AND, b, c), d))
+    a, b, c, d = (Rule(S, 1, limit) for limit in (2.0, 2.1, 2.2, 2.3))
+    assert grouping(parse_procedure(text)) == ("OR", a, ("OR", ("AND", b, c), d))
 
 
 @pytest.mark.parametrize("text", [
@@ -263,25 +261,27 @@ def test_parse_procedure_returns_or_raises_parse_error(text):
 @st.composite
 def _rendered_trees(draw):
     """A tree with at most 3 nested right operands, so that its operators
-    need priorities 0..3, and its text: every right operand that is a node
-    in parentheses, plus redundant ones around random operands. Leaf i is
-    S(1, i/10), so no two leaves are equal."""
+    need priorities 0..3, as nested ``(operator, left, right)`` tuples over
+    rules, and its text: every right operand that is a tuple in
+    parentheses, plus redundant ones around random operands. Rule i is
+    S(1, i/10), so no two rules are equal."""
     leaves = iter(range(64))
 
     def tree(levels, depth):
         if levels == 0 or depth == 5 or draw(st.integers(0, 3)) == 0:
-            return Leaf(Rule(S, 1, next(leaves) / 10))
+            return Rule(S, 1, next(leaves) / 10)
         left = tree(levels, depth + 1)
-        return Node(draw(st.sampled_from(OperatorKind)), left, tree(levels - 1, depth + 1))
+        return (draw(st.sampled_from(["AND", "OR"])), left, tree(levels - 1, depth + 1))
 
     def render(node):
-        if isinstance(node, Leaf):
-            text = str(node.rule)
+        if isinstance(node, Rule):
+            text = str(node)
         else:
-            right = render(node.right)
-            if isinstance(node.right, Node):
-                right = f"({right})"
-            text = f"{render(node.left)} {node.op.value} {right}"
+            op, left, right = node
+            right_text = render(right)
+            if isinstance(right, tuple):
+                right_text = f"({right_text})"
+            text = f"{render(left)} {op} {right_text}"
         depth = draw(st.sampled_from([0, 0, 0, 1, 2]))
         return "(" * depth + text + ")" * depth
 
@@ -293,7 +293,7 @@ def _rendered_trees(draw):
 @given(_rendered_trees())
 def test_parse_keeps_the_grouping_of_up_to_four_priorities(case):
     tree, text = case
-    assert build_expr(parse_procedure(text)) == tree
+    assert grouping(parse_procedure(text)) == tree
     # The same text as a 4th nested right operand needs priority 4.
     deeper = "S(1,2.0) OR (" * 4 + f"{text} AND S(1,2.0)" + ")" * 4
     with pytest.raises(ProcedureParseError, match="nesting too deep"):

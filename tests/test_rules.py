@@ -1,24 +1,23 @@
 """Rule evaluation through the run loop and against the closure oracle,
 expression building, notation, and proposition counting."""
 
+from itertools import product
+
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from closure_oracle import compile_expr, rule_predicate
-from qcdesign.errors import InvalidArgumentError
+from closure_oracle import compile_procedure, grouping, rule_predicate
+from qcdesign.errors import InvalidArgumentError, ProcedureParseError
 from qcdesign.rng import new_stream
 from qcdesign.rules import (
     LIMIT_MAX,
     N_MAX,
-    Leaf,
-    Node,
     Operator,
     OperatorKind,
     Procedure,
     Rule,
     RuleKind,
     bound,
-    build_expr,
     canonical_notation,
     count_distinct_propositions,
     fold,
@@ -196,23 +195,22 @@ def _proc(rules, ops):
 
 def test_two_rules_single_node():
     a, b = Rule(S, 1, 2.0), Rule(M, 2, 1.0)
-    expr = build_expr(_proc([a, b], [Operator(AND, 0)]))
-    assert expr == Node(AND, Leaf(a), Leaf(b))
+    assert grouping(_proc([a, b], [Operator(AND, 0)])) == ("AND", a, b)
 
 
 def test_empty_procedure_never_rejects():
-    assert build_expr(Procedure()) is None
+    assert grouping(Procedure()) is None
     assert not _run_once(Procedure(), 1, [9.0, 9.0, 9.0])
 
 
 def test_priority_binds_tighter():
     a, b, c = Rule(S, 1, 1.0), Rule(S, 1, 2.0), Rule(S, 1, 3.0)
     # a OR b AND c with AND at higher priority: a OR (b AND c)
-    expr = build_expr(_proc([a, b, c], [Operator(OR, 0), Operator(AND, 1)]))
-    assert expr == Node(OR, Leaf(a), Node(AND, Leaf(b), Leaf(c)))
+    expr = grouping(_proc([a, b, c], [Operator(OR, 0), Operator(AND, 1)]))
+    assert expr == ("OR", a, ("AND", b, c))
     # equal priorities associate left to right
-    expr = build_expr(_proc([a, b, c], [Operator(OR, 0), Operator(AND, 0)]))
-    assert expr == Node(AND, Node(OR, Leaf(a), Leaf(b)), Leaf(c))
+    expr = grouping(_proc([a, b, c], [Operator(OR, 0), Operator(AND, 0)]))
+    assert expr == ("AND", ("OR", a, b), c)
 
 
 def test_flatten_inverts_grouping():
@@ -265,6 +263,21 @@ def test_notation_empty():
     assert canonical_notation(Procedure()) == "NONE"
 
 
+def test_rule_renders_its_own_limit():
+    rule = Rule(S, 1, 2.45)
+    assert str(rule) == "S(1,2.45)"
+    # The text keeps the limit, so reading it back fails loudly instead of
+    # giving a rule at 2.5.
+    with pytest.raises(ProcedureParseError, match="at most one decimal"):
+        parse_procedure(canonical_notation(_proc([rule], [])))
+
+
+def test_grid_limits_render_with_one_decimal():
+    for code in range(64):
+        limit = round(0.1 * code, 1)
+        assert str(Rule(S, 1, limit)) == f"S(1,{limit:.1f})"
+
+
 # ----------------------------------------------------------- structure
 
 
@@ -300,6 +313,24 @@ def test_count_three_atom_propositions_frozen():
 def test_count_four_atom_propositions_frozen():
     # frozen from an enumeration that compiled every procedure on its own
     assert count_distinct_propositions(4) == 100
+
+
+@pytest.mark.parametrize("count", [2, 3, 4])
+def test_equal_notation_means_equal_truth_table(count):
+    """The dedup key of count_distinct_propositions is sound: under every
+    operator choice, procedures with one canonical notation have one truth
+    table over independent atoms (rule i holds in row r when bit i of r is
+    set), read by one fold over 2**count-bit masks."""
+    slots = tuple(Rule(S, 1, i / 10) for i in range(count))
+    masks = {rule: sum(1 << row for row in range(2 ** count) if row >> i & 1)
+             for i, rule in enumerate(slots)}
+    tables = {}
+    choices = list(product(product(OperatorKind, range(4)), repeat=count - 1))
+    for choice in choices:
+        procedure = _proc(slots, [Operator(kind, priority) for kind, priority in choice])
+        table = fold(procedure, masks.__getitem__, int.__and__, int.__or__)
+        assert tables.setdefault(canonical_notation(procedure), table) == table
+    assert len(tables) < len(choices)
 
 
 def test_count_validation():
@@ -410,7 +441,7 @@ _grid_windows = st.lists(
 # A run holds at least one measurement, so these windows are not empty.
 @given(_procedures(), _grid_windows.filter(len))
 def test_compiled_procedure_agrees_with_reference(procedure, window):
-    expected = compile_expr(build_expr(procedure), rule_predicate)([window])
+    expected = compile_procedure(procedure, rule_predicate)([window])
     assert _run_once(procedure, 1, window) == expected
 
 
