@@ -15,17 +15,16 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 
 from . import ga as ga_mod
-from .config import JobConfig, load_config
+from .config import JobConfig, load_config, merged
 from .error_model import critical_errors
-from .errors import ConfigError, InvalidArgumentError, ProcedureParseError, QcDesignError
+from .errors import ConfigError, ProcedureParseError, QcDesignError
 from .ga import report_dict
 from .library import builtin_library, load_library_file, parse_procedure
 from .objective import comparison_f1, fitness_f
 from .rng import new_stream
-from .simulator import draw_condition_pools, estimate_performance
+from .simulator import draw_condition_pools, estimate_performance, simulation_stream_id
 from .stats import compare_procedures
 
 EXIT_OK = 0
@@ -45,16 +44,12 @@ def _env_int(name: str):
 
 
 def _apply_overrides(cfg: JobConfig, args) -> JobConfig:
-    """Flags over environment defaults over the config file."""
+    """Flags over environment defaults over the config file, checked by ``merged``."""
     seed = args.seed if args.seed is not None else _env_int("QCDESIGN_SEED")
-    if seed is not None:
-        try:
-            cfg = replace(cfg, ga=replace(cfg.ga, seed=seed))
-        except InvalidArgumentError as exc:
-            raise ConfigError(str(exc)) from exc
     threads = args.threads if args.threads is not None else _env_int("QCDESIGN_THREADS")
-    overrides = {"threads": threads, "output": args.out, "output_format": args.format}
-    return replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
+    ga = {"seed": seed} if seed is not None else {}
+    raw = {"ga": ga, "threads": threads, "output": args.out, "output_format": args.format}
+    return merged(cfg, {k: v for k, v in raw.items() if v is not None}, None)
 
 
 def _check_output(path) -> None:
@@ -128,7 +123,8 @@ def cmd_list_library(cfg: JobConfig) -> str:
 def cmd_evaluate(cfg: JobConfig, procedure_text: str) -> str:
     procedure = parse_procedure(procedure_text)
     crit = critical_errors(cfg.assay)
-    pools = draw_condition_pools(new_stream(cfg.ga.seed, 0), cfg.plan.measurements_per_level)
+    stream = new_stream(cfg.ga.seed, simulation_stream_id())
+    pools = draw_condition_pools(stream, cfg.plan.measurements_per_level)
     est = estimate_performance(procedure, cfg.plan, crit, pools)
     f = fitness_f(est, cfg.objective)
     f1 = comparison_f1(est)

@@ -20,17 +20,12 @@ from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 from .error_model import AssayParams
 from .errors import ConfigError, InvalidArgumentError
-from .ga import (
-    CRN_OPERATOR_DRAW_BUDGET,
-    MAX_FRESH_SEED_GENERATIONS,
-    OPERATOR_DRAW_BUDGET,
-    GaParams,
-    operator_draws,
-)
+from .ga import GaParams, operator_draws
 from .genome import GenomeLayout
 from .objective import ObjectiveConfig
-from .simulator import SimulationPlan
-from .stats import MAX_REPLICATES
+from .simulator import (
+    MAX_FRESH_SEED_GENERATIONS, MAX_REPLICATES, SimulationPlan, operator_draw_budget,
+)
 
 _JSON_TYPE_NAMES = {
     int: "integer",
@@ -59,8 +54,6 @@ class JobConfig:
             raise ConfigError(
                 f"output_format must be 'csv' or 'doc', got {self.output_format!r}"
             )
-        # More replicates, or more fresh-seed generations than below, would
-        # simulate on stream ids past rng.MAX_STREAM_ID, which replay stream 0.
         if not 2 <= self.replicates <= MAX_REPLICATES:
             raise ConfigError(
                 f"replicates must be an integer in [2, {MAX_REPLICATES}], got {self.replicates}"
@@ -77,16 +70,13 @@ class JobConfig:
                 f"plan.measurements_per_level {self.plan.measurements_per_level} yields zero "
                 f"runs of the {per_level} measurements per level the layout can decode"
             )
-        # The operator stream ends where the first fresh-seed simulation
-        # stream starts, or in common-random-numbers mode at the last
-        # stream id, past which it would replay the simulation streams.
         fresh = self.ga.fresh_seeds_per_generation
         if fresh and self.ga.generations > MAX_FRESH_SEED_GENERATIONS:
             raise ConfigError(
                 f"ga: with fresh_seeds_per_generation at most {MAX_FRESH_SEED_GENERATIONS} "
                 f"generations fit the random streams, got {self.ga.generations}"
             )
-        budget = OPERATOR_DRAW_BUDGET if fresh else CRN_OPERATOR_DRAW_BUDGET
+        budget = operator_draw_budget(fresh)
         draws = operator_draws(self.layout, self.ga)
         if draws > budget:
             mode = "with fresh_seeds_per_generation" if fresh else "in common-random-numbers mode"
@@ -140,7 +130,7 @@ def _frozen(value):
     return tuple(map(_frozen, value)) if isinstance(value, list) else value
 
 
-def _merged(current, raw, section: Optional[str]):
+def merged(current, raw, section: Optional[str]):
     """``current`` with the fields that ``raw`` names replaced by its
     type-checked values; a dataclass-valued field merges a nested section.
     ``section`` is None for the config root."""
@@ -158,7 +148,7 @@ def _merged(current, raw, section: Optional[str]):
     updates = {}
     for key, value in raw.items():
         if is_dataclass(getattr(current, key)):
-            updates[key] = _merged(getattr(current, key), value, key)
+            updates[key] = merged(getattr(current, key), value, key)
         elif _conforms(value, hints[key]):
             updates[key] = _frozen(value)
         else:
@@ -185,4 +175,4 @@ def load_config(path: Optional[str] = None) -> JobConfig:
         if "\0" in str(path):  # open() refuses the path itself
             raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    return _merged(cfg, data, None)
+    return merged(cfg, data, None)

@@ -24,34 +24,18 @@ from .genome import (
     Genome, GenomeLayout, crossover, decode, from_bits, genome_length, hamming_distance, mutate,
 )
 from .objective import ObjectiveConfig, comparison_f1, fitness_f
-from .rng import DEFAULT_MODULUS, MAX_STREAM_ID, STREAM_JUMP, RandomStream, new_stream
-from .rules import canonical_notation
+from .rng import DEFAULT_MODULUS, RandomStream, new_stream
+from .rules import Procedure, canonical_notation
 from .simulator import (
-    IDS_PER_SIMULATION,
+    OPERATOR_STREAM_ID,
     PerformanceEstimate,
     SimulationPlan,
     estimate_task,
     resolve_shape,
+    simulation_stream_id,
     worker_map,
 )
 
-# Stream-id conventions within a design run (all relative to the master
-# seed): ids 0..7 hold the fixed simulation substreams, id 50 the GA's
-# own operations (shuffle, crossover, mutation, initialization), and
-# ids 100+8g.. the per-generation simulation substreams in fresh-seed
-# mode. Spacings keep every stream's draw budget inside its jump gap.
-_SIM_STREAM_ID = 0
-_OPS_STREAM_ID = 50
-_FRESH_SIM_BASE = 100
-# Uniforms the operator stream may draw before it reaches the first
-# fresh-seed simulation stream.
-OPERATOR_DRAW_BUDGET = (_FRESH_SIM_BASE - _OPS_STREAM_ID) * STREAM_JUMP
-# Uniforms it may draw in common-random-numbers mode, before it runs past
-# rng.MAX_STREAM_ID and wraps onto the simulation streams at id 0.
-CRN_OPERATOR_DRAW_BUDGET = (MAX_STREAM_ID + 1 - _OPS_STREAM_ID) * STREAM_JUMP
-# Generations g = 0 .. G of a fresh-seed run whose last simulation reads
-# stream ids up to 100+8G+7 <= rng.MAX_STREAM_ID.
-MAX_FRESH_SEED_GENERATIONS = (MAX_STREAM_ID + 1 - _FRESH_SIM_BASE) // IDS_PER_SIMULATION - 1
 # Procedures a design report lists, fittest first.
 MAX_BEST = 10
 
@@ -134,9 +118,13 @@ class GaParams:
 @dataclass(frozen=True)
 class Individual:
     genome: Genome
+    procedure: Procedure
     fitness: float
     estimate: PerformanceEstimate
-    operator_count: int
+
+    @property
+    def operator_count(self) -> int:
+        return self.procedure.operator_count
 
 
 class PopulationEvaluator:
@@ -171,14 +159,8 @@ class PopulationEvaluator:
         individuals = []
         for genome, procedure in zip(genomes, procedures):
             estimate = self._cache[procedure]
-            individuals.append(
-                Individual(
-                    genome=genome,
-                    fitness=fitness_f(estimate, self.cfg),
-                    estimate=estimate,
-                    operator_count=procedure.operator_count,
-                )
-            )
+            fitness = fitness_f(estimate, self.cfg)
+            individuals.append(Individual(genome, procedure, fitness, estimate))
         return individuals
 
 
@@ -318,11 +300,10 @@ def _random_genome(layout: GenomeLayout, rng: RandomStream) -> Genome:
 
 
 def _record(generation: int, best: Individual) -> GenerationRecord:
-    procedure = decode(best.genome)
     est = best.estimate
     return GenerationRecord(
         generation=generation,
-        notation=canonical_notation(procedure),
+        notation=canonical_notation(best.procedure),
         fitness=best.fitness,
         p_re=est.p_re,
         p_se=est.p_se,
@@ -345,12 +326,12 @@ def run_design(
     Simulations run on up to ``threads`` processes; the report does not
     depend on their number."""
     critical = critical_errors(assay)
-    ops_rng = new_stream(params.seed, _OPS_STREAM_ID)
+    ops_rng = new_stream(params.seed, OPERATOR_STREAM_ID)
     best_seen: dict = {}
 
     def note_best(individuals):
         for ind in individuals:
-            notation = canonical_notation(decode(ind.genome))
+            notation = canonical_notation(ind.procedure)
             prev = best_seen.get(notation)
             if prev is None or ind.fitness < prev.fitness:
                 best_seen[notation] = ind
@@ -365,10 +346,8 @@ def run_design(
     with worker_map(threads, params.population) as map_tasks:
 
         def make_evaluator(generation: int) -> PopulationEvaluator:
-            if params.fresh_seeds_per_generation:
-                stream_id = _FRESH_SIM_BASE + IDS_PER_SIMULATION * generation
-            else:
-                stream_id = _SIM_STREAM_ID
+            fresh = params.fresh_seeds_per_generation
+            stream_id = simulation_stream_id(generation=generation if fresh else None)
             return PopulationEvaluator(plan, critical, cfg, params.seed, stream_id, map_tasks)
 
         evaluator = make_evaluator(0)
@@ -395,7 +374,7 @@ def run_design(
     )[:MAX_BEST]
     best_entries = []
     for notation, ind in ranked:
-        levels, per_level, _ = resolve_shape(decode(ind.genome), plan)
+        levels, per_level, _ = resolve_shape(ind.procedure, plan)
         est = ind.estimate
         best_entries.append(
             BestEntry(

@@ -40,24 +40,16 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, STREAM_JUMP, RandomStream, new_stream
-from .rng import inverse_normal_cdf
+from .rng import MAX_STREAM_ID, inverse_normal_cdf
 from .rules import (
     COMPILED_STRUCTURES, N_MAX, Procedure, Rule, RuleKind, boolean_source, bound,
     check_shape, define, extreme, fold, rule_statistic, rule_test,
 )
-
-# Substream offsets of a simulation's base stream, one per error
-# condition, plus a fixed gap to each condition's stream of restoration
-# (post-rejection, in-control) deviates.  A simulation therefore occupies
-# eight consecutive stream ids.
-_COND_OFFSETS = {"in_control": 1, "random": 2, "systematic": 3}
-_RESTORE_GAP = 4
-IDS_PER_SIMULATION = 8
 
 # Largest plan whose restoration streams cannot overrun: in the worst case
 # every run rejects, and each rejection reloads N_MAX values into the
@@ -383,6 +375,46 @@ def estimate_performance(
     return PerformanceEstimate(p_re=p_re, p_se=p_se, p_fr=p_fr, runs_simulated=runs)
 
 
+# The stream layout: every stream id a command reads from the master seed.
+# A simulation reads IDS_PER_SIMULATION ids from its base: condition c's
+# series at base + _COND_OFFSETS[c], and its restoration (post-rejection,
+# in-control) deviates _RESTORE_GAP ids further.
+#
+#   base 0          evaluate, and all of a design on common random numbers (CRN)
+#   base 8r         compare's replicate r, for r < MAX_REPLICATES
+#   id 50           the GA's operator stream (initial population, shuffle,
+#                   crossover, mutation), for operator_draw_budget uniforms
+#   base 100 + 8g   generation g of a fresh-seed design, for
+#                   g <= MAX_FRESH_SEED_GENERATIONS
+#
+# The bounds keep the ids one command reads disjoint and at most
+# rng.MAX_STREAM_ID, past which a stream would replay stream 0. Across
+# commands only compare's replicate 0 repeats a design's pools, those a
+# CRN design selected on, which evaluate reads too. Compare's replicates
+# from 6 on also reach ids that a design reads in another role.
+_COND_OFFSETS = {"in_control": 1, "random": 2, "systematic": 3}
+_RESTORE_GAP = 4
+IDS_PER_SIMULATION = 8
+OPERATOR_STREAM_ID = 50
+_FRESH_SEED_BASE = 100
+MAX_REPLICATES = (MAX_STREAM_ID + 1) // IDS_PER_SIMULATION
+MAX_FRESH_SEED_GENERATIONS = (MAX_STREAM_ID + 1 - _FRESH_SEED_BASE) // IDS_PER_SIMULATION - 1
+
+
+def simulation_stream_id(replicate: int = 0, generation: Optional[int] = None) -> int:
+    """The base stream id of compare's ``replicate``, or of a fresh-seed
+    design's ``generation``; the default is evaluate's and a CRN design's."""
+    if generation is None:
+        return IDS_PER_SIMULATION * replicate
+    return _FRESH_SEED_BASE + IDS_PER_SIMULATION * generation
+
+
+def operator_draw_budget(fresh: bool) -> int:
+    """Uniforms the operator stream may draw before it reaches the first
+    fresh-seed base or, on CRN, runs past the last stream id."""
+    return ((_FRESH_SEED_BASE if fresh else MAX_STREAM_ID + 1) - OPERATOR_STREAM_ID) * STREAM_JUMP
+
+
 def draw_condition_pools(
     base_stream: RandomStream, measurements_per_level: int
 ) -> dict:
@@ -390,8 +422,7 @@ def draw_condition_pools(
 
     Procedures needing fewer measurements (one level, truncated runs)
     consume a prefix, keeping the series paired across procedures.
-    Condition ``c`` reads its series from substream ``_COND_OFFSETS[c]`` of
-    ``base_stream`` and its restorations from ``_RESTORE_GAP`` ids further.
+    They read ``base_stream``'s block of ids in the stream layout above.
     """
     pools = {}
     for name, offset in _COND_OFFSETS.items():

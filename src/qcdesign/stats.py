@@ -17,12 +17,8 @@ from typing import Optional, Sequence
 from .error_model import CriticalErrors
 from .errors import InvalidArgumentError
 from .objective import comparison_f1
-from .rng import MAX_STREAM_ID
 from .rules import Procedure
-from .simulator import IDS_PER_SIMULATION, SimulationPlan, estimate_task, worker_map
-
-# Replicate r simulates on stream ids 8r+1 .. 8r+7 (IDS_PER_SIMULATION = 8).
-MAX_REPLICATES = (MAX_STREAM_ID + 1) // IDS_PER_SIMULATION
+from .simulator import SimulationPlan, estimate_task, simulation_stream_id, worker_map
 
 
 @dataclass(frozen=True)
@@ -130,7 +126,7 @@ def compare_procedures(
     # One task per replicate, holding every procedure: they share its pools.
     procs = [proc for _, proc in procedures]
     tasks = [
-        (procs, plan_template, critical, base_seed, r * IDS_PER_SIMULATION)
+        (procs, plan_template, critical, base_seed, simulation_stream_id(r))
         for r in range(replicates)
     ]
     with worker_map(threads, replicates) as map_tasks:

@@ -118,9 +118,9 @@ def test_tiebreak_prefers_fewer_operators():
     def fake_evaluate(genome):
         return Individual(
             genome=genome,
+            procedure=decode(genome),
             fitness=1.0,
             estimate=est,
-            operator_count=decode(genome).operator_count,
         )
 
     ones = tuple(itertools.repeat(1, genome_length(LAYOUT)))
@@ -238,7 +238,7 @@ class _UncachedEvaluator(PopulationEvaluator):
             procedure = decode(genome)
             estimate = self.estimate(procedure)
             fitness = fitness_f(estimate, self.cfg)
-            individuals.append(Individual(genome, fitness, estimate, procedure.operator_count))
+            individuals.append(Individual(genome, procedure, fitness, estimate))
         return individuals
 
 
