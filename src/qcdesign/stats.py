@@ -10,7 +10,6 @@ the per-replicate values.
 from __future__ import annotations
 
 import math
-import statistics
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -62,7 +61,7 @@ def summarize(values: Sequence[float]):
     ints = [n * (scale // d) for n, d in ratios]
     total = sum(ints)
     sd = _sqrt(count * sum(i * i for i in ints) - total * total, count * (count - 1) * scale**2)
-    return statistics.fmean(values), sd
+    return math.fsum(values) / count, sd
 
 
 def _sqrt(n: int, m: int) -> float:
@@ -107,8 +106,8 @@ def compare_procedures(
     procedures: Sequence[tuple],
     plan_template: SimulationPlan,
     critical: CriticalErrors,
-    replicates: int = 21,
-    base_seed: int = 12345,
+    replicates: int,
+    base_seed: int,
     threads: int = 1,
 ) -> ComparisonResult:
     """Paired replicated comparison of named procedures.

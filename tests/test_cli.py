@@ -3,12 +3,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 from test_library import _NOTATION_PIECES
 
+import qcdesign
 from qcdesign import ga, simulator
 from qcdesign.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARSE, EXIT_RUNTIME, main
 from qcdesign.rules import MAX_RULES
@@ -399,3 +404,19 @@ def test_any_argv_exits_cleanly(tmp_path, monkeypatch, argvs):
     assert code in (EXIT_OK, EXIT_CONFIG, EXIT_PARSE, EXIT_RUNTIME)
     if code != EXIT_OK:
         assert stderr.getvalue().strip()
+
+
+def test_start_up_imports_neither_statistics_nor_multiprocessing():
+    """A fresh ``import qcdesign.cli`` loads no ``statistics`` (which pulls
+    in ``fractions`` and ``decimal``) and no ``multiprocessing``, which
+    ``simulator.worker_map`` imports only when it starts a pool."""
+    src = str(Path(qcdesign.__file__).parents[1])
+    code = "import sys, qcdesign.cli; print(*sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert not {"statistics", "multiprocessing"} & set(out.split())

@@ -377,7 +377,9 @@ def test_shared_pools_never_run_lazily(pool_draws, lazy_computes, sodium_critica
 
 def test_compare_draws_once_per_replicate(pool_draws, sodium_critical):
     named = [(t, parse_procedure(t)) for t in ("1_2.5s", "1_3.0s", "1_2.5s/2_2.0s")]
-    compare_procedures(named, _plan(mpl=50), sodium_critical, replicates=3, threads=1)
+    compare_procedures(
+        named, _plan(mpl=50), sodium_critical, replicates=3, base_seed=12345, threads=1
+    )
     assert pool_draws == [(12345, 0), (12345, 8), (12345, 16)]
     assert simulator._pools.cache_info().currsize == 0
 

@@ -128,6 +128,12 @@ def test_summarize_sd_equals_stdev(values):
     assert summarize(values)[1] == statistics.stdev(values)
 
 
+@given(_sd_samples)
+def test_summarize_mean_equals_fmean(values):
+    """The mean is ``statistics.fmean``'s, on every supported Python."""
+    assert summarize(values)[0] == statistics.fmean(values)
+
+
 def _small_plan():
     return SimulationPlan(measurements_per_level=200, levels=2, per_level_per_run=1)
 
@@ -177,10 +183,11 @@ def test_compare_validation(sodium_critical):
             _small_plan(),
             sodium_critical,
             replicates=1,
+            base_seed=1,
         )
     with pytest.raises(InvalidArgumentError):
         compare_procedures(
-            [("a", "not a procedure")], _small_plan(), sodium_critical, replicates=3
+            [("a", "not a procedure")], _small_plan(), sodium_critical, replicates=3, base_seed=1
         )
 
 
@@ -214,7 +221,9 @@ def test_pool_capped_by_replicates_and_cores(
     monkeypatch.setattr("os.cpu_count", lambda: cpus)
     named = [(t, parse_procedure(t)) for t in ("1_2.5s", "1_3.0s")]
     plan = SimulationPlan(measurements_per_level=50)
-    compare_procedures(named, plan, sodium_critical, replicates=replicates, threads=threads)
+    compare_procedures(
+        named, plan, sodium_critical, replicates=replicates, base_seed=1, threads=threads
+    )
     assert sizes == ([] if expected is None else [expected])
     # one replicate per task, so neither worker is left holding a chunk
     assert chunks == ([] if expected is None else [1])

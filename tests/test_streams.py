@@ -134,21 +134,23 @@ def test_one_step_past_a_stream_bound_exits_2(tmp_path, capsys, bound):
 
 def test_evaluate_reproduces_a_crn_design(tmp_path, capsys):
     """A design on common random numbers scores every candidate on the
-    pools of ``simulation_stream_id()``, which evaluate reads, so an entry
-    of the plan's QC shape evaluates to its reported figures."""
+    pools of ``simulation_stream_id()``, which evaluate reads. The notation
+    carries no QC shape, so every entry evaluates to its reported figures
+    under a plan set to the entry's ``levels`` and ``per_level``."""
     plan = {"measurements_per_level": 300, "levels": 2, "per_level_per_run": 1}
+    ga = {"population": 20, "generations": 4}
     path = tmp_path / "job.json"
-    path.write_text(json.dumps({"plan": plan, "ga": {"population": 20, "generations": 4}}))
+    path.write_text(json.dumps({"plan": plan, "ga": ga}))
     assert main(["--config", str(path), "design"]) == EXIT_OK
     best = json.loads(capsys.readouterr().out)["best"]
-    matching = [
-        entry for entry in best
-        if (entry["levels"], entry["per_level"]) == (plan["levels"], plan["per_level_per_run"])
-    ]
-    assert matching
-    for entry in matching:
+    shapes = set()
+    for entry in best:
+        shape = {"levels": entry["levels"], "per_level_per_run": entry["per_level"]}
+        shapes.add(tuple(shape.values()))
+        path.write_text(json.dumps({"plan": {**plan, **shape}, "ga": ga}))
         assert main(["--config", str(path), "evaluate", entry["procedure"]]) == EXIT_OK
         evaluated = json.loads(capsys.readouterr().out)
         assert [evaluated[key] for key in ("p_re", "p_se", "p_fr")] == [
             entry[key] for key in ("p_re", "p_se", "p_fr")
         ], entry["procedure"]
+    assert len(shapes) >= 2
