@@ -48,14 +48,15 @@ class CriticalErrors:
     k_re: float  # SD multiplier, >= 1
 
 
+def _outside(lo: float, hi: float, shift: float, scale: float) -> float:
+    """P(X outside [lo, hi]) for X normal with mean ``shift`` and SD ``scale``."""
+    return normal_cdf((lo - shift) / scale) + 1.0 - normal_cdf((hi - shift) / scale)
+
+
 def _exceedance(p: AssayParams, delta: float = 0.0, k: float = 1.0) -> float:
     """P(|result error| > tea) under a mean shift of delta SD and the SD
     inflated by factor k."""
-    return (
-        normal_cdf((-p.tea - p.bias - delta * p.sd) / (k * p.sd))
-        + 1.0
-        - normal_cdf((p.tea - p.bias - delta * p.sd) / (k * p.sd))
-    )
+    return _outside(-p.tea - p.bias, p.tea - p.bias, delta * p.sd, k * p.sd)
 
 
 def _critical(p: AssayParams, exceedance, lo: float, hi: float, kind: str) -> float:
@@ -114,9 +115,4 @@ def single_value_power_oracle(
         raise InvalidArgumentError(f"meas_per_run must be >= 1, got {meas_per_run}")
     if sd_multiplier < 1:
         raise InvalidArgumentError(f"sd_multiplier must be >= 1, got {sd_multiplier}")
-    p = (
-        normal_cdf((-limit - shift) / sd_multiplier)
-        + 1.0
-        - normal_cdf((limit - shift) / sd_multiplier)
-    )
-    return 1.0 - (1.0 - p) ** meas_per_run
+    return 1.0 - (1.0 - _outside(-limit, limit, shift, sd_multiplier)) ** meas_per_run

@@ -124,7 +124,7 @@ class Individual:
 
     @property
     def operator_count(self) -> int:
-        return self.procedure.operator_count
+        return len(self.procedure.operators)
 
 
 class PopulationEvaluator:

@@ -47,9 +47,8 @@ def parse_procedure(text: str) -> Procedure:
         raise ProcedureParseError("empty procedure text")
     if stripped.upper() == "NONE":
         return Procedure()
-    matches = [_WESTGARD_TERM.match(part.strip()) for part in stripped.split("/")]
-    if all(matches):
-        return _parse_westgard(matches, text)
+    if "/" in stripped or _WESTGARD_TERM.match(stripped):
+        return _parse_westgard(text)
     return _parse_canonical(text)
 
 
@@ -58,14 +57,21 @@ def _check_rule_count(count: int) -> None:
         raise ProcedureParseError(f"a procedure holds at most {MAX_RULES} rules, got {count}")
 
 
-def _parse_westgard(matches: list, original: str) -> Procedure:
-    """The OR chain of the terms that ``matches`` matched."""
-    _check_rule_count(len(matches))
-    rules = []
-    for match in matches:
-        term, (count, limit) = match.string, match.groups()
+def _parse_westgard(text: str) -> Procedure:
+    """The OR chain of the '/'-separated terms of ``text``; a bad term is
+    reported where it starts, an empty one just after its '/'."""
+    _check_rule_count(text.count("/") + 1)
+    rules, start = [], 0
+    for part in text.split("/"):
+        term = part.strip()
+        position = start + part.find(term)
+        match = _WESTGARD_TERM.match(term)
+        if match is None:
+            raise ProcedureParseError(f"term {term!r} is not n_ks or R_ks", position)
+        count, limit = match.groups()
         kind = RuleKind.RANGE if count is None else RuleKind.SINGLE_VALUE
-        rules.append(_make_rule(kind, count or "2", limit, term, original.find(term)))
+        rules.append(_make_rule(kind, count or "2", limit, term, position))
+        start += len(part) + 1
     operators = tuple(Operator(OperatorKind.OR, 0) for _ in rules[1:])
     return Procedure(tuple(rules), operators)
 

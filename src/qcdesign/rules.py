@@ -103,10 +103,6 @@ class Procedure:
         shape = [1 if value is None else value for value in (self.levels, self.per_level)]
         check_shape(*shape, ("levels", "per_level"))
 
-    @property
-    def operator_count(self) -> int:
-        return len(self.operators)
-
 
 def check_shape(levels: int, per_level: int, names: Sequence[str]) -> None:
     """Reject a QC shape other than 1 or 2 levels of 1 to 4 measurements

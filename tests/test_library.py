@@ -85,6 +85,23 @@ def test_parse_error_reports_position():
     assert "position 11" in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "text, term, position",
+    [
+        ("1_2.5s/2_2.0x", "2_2.0x", 7),
+        ("1_2.5s/", "", 7),  # an empty term is reported just after its '/'
+        ("1_2.5s//R_4s", "", 7),
+        ("S(1,2.5)/R_4s", "S(1,2.5)", 0),  # text with a '/' is Westgard only
+        (" 1_2.5s / 2_2x", "2_2x", 10),
+    ],
+)
+def test_bad_westgard_term_reported_at_that_term(text, term, position):
+    with pytest.raises(ProcedureParseError) as excinfo:
+        parse_procedure(text)
+    assert excinfo.value.position == position
+    assert f"term {term!r}" in str(excinfo.value)
+
+
 def _nested(depth):
     return "(" * depth + "S(1,2.0)" + ")" * depth
 

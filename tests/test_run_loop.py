@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 import qcdesign.rules as rules
 import qcdesign.simulator as simulator
 from closure_oracle import simulate as oracle_simulate
+from qcdesign.library import parse_procedure
 from qcdesign.rng import DEFAULT_MODULUS, DEFAULT_MULTIPLIER, inverse_normal_cdf, new_stream
 from qcdesign.rules import (
     LIMIT_MAX,
@@ -149,6 +150,9 @@ def _procedures(draw):
     Procedure((Rule(RuleKind.SINGLE_VALUE, 1, 1.0), Rule(RuleKind.MEAN, 3, 0.5)), (Operator(AND),)),
     1, 1, 2000, CONDITIONS[1], 7,
 )
+# History-free rules on two and on three statistics: the verdict-mask path.
+@example(parse_procedure("S(1,2.5) OR R(2,3.8)"), 2, 2, 60, CONDITIONS[1], 11)
+@example(parse_procedure("(S(2,1.5) AND M(2,2.0)) OR R(2,3.5)"), 1, 2, 60, CONDITIONS[2], 13)
 @given(
     _procedures(),
     st.sampled_from([1, 2]),
