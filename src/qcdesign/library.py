@@ -9,11 +9,12 @@ Two grammars are accepted:
   Westgard    term ('/' term)* with terms  n_ks  or  R_ks ; '/' means OR.
               1_ks -> S(1,k), n_ks -> S(n,k), R_ks -> R(2,k).
 
-Canonical text parses in one loop, without recursion, straight to the
-rule/operator sequence, each operator's priority counting the right
+Canonical text is read once, token by token, without recursion, straight
+to the rule/operator sequence, each operator's priority counting the right
 operands on its path from the root, so ``rules.fold``, which every reader
-of a procedure's expression calls, groups it back as written; at most
-``MAX_NESTING`` parentheses nest. Westgard
+of a procedure's expression calls, groups it back as written. The rule
+bound is checked first; reading stops past ``MAX_NESTING`` open
+parentheses or at the first offending token, which the error names. Westgard
 counting terms here are the paper's absolute-value generic forms, not
 the classical same-side-of-mean variants; 10_x has no generic
 equivalent and is rejected.
@@ -92,7 +93,10 @@ def _make_rule(kind, n: str, limit: str, term, position) -> Rule:
         ) from exc
 
 
-_TOKEN = re.compile(r"\s*(AND\b|OR\b|[SRMD]\(|\(|\)|$)")
+# The whole token after its whitespace; then an operator, or a rule's
+# letter, n and limit (no n when the body after the head is malformed).
+_TOKEN = re.compile(r"\s*((AND|OR)\b|([SRMD])\((?:\s*([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)\s*\))?"
+                    r"|[()]|$)")
 MAX_NESTING = 256  # most parentheses open at once in canonical text
 
 
@@ -100,11 +104,12 @@ def _parse_canonical(text: str) -> Procedure:
     """A chain's operators take its priority; its first operand keeps it
     and every later operand binds one tighter. ``outer`` holds, for each
     open '(', the priority of the chain outside it."""
-    tokens = _tokenize(text)
-    _check_rule_count(sum(kind == "rule" for kind, _, _ in tokens))
+    # A rule head is a rule's start, or the tail of an "OR(" or "AND(".
+    heads = sum(map(text.count, ("S(", "R(", "M(", "D(")))
+    _check_rule_count(heads - text.count("OR(") - text.count("AND("))
     rules, operators, outer = [], [], []
     chain = operand = 0
-    tokens = iter(tokens)
+    tokens = _tokens(text)
     for kind, value, offset in tokens:  # left only by the break or an error
         if kind == "(":
             if len(outer) == MAX_NESTING:
@@ -133,39 +138,28 @@ def _parse_canonical(text: str) -> Procedure:
     return Procedure(tuple(rules), tuple(Operator(*op) for op in operators))
 
 
-_RULE_BODY = re.compile(r"\s*([0-9]+)\s*,\s*([0-9]+(?:\.[0-9]+)?)\s*\)")
-
-
-def _tokenize(text: str):
-    tokens = []
-    i = 0
-    while i <= len(text):
-        match = _TOKEN.match(text, i)
+def _tokens(text: str):
+    """Each token of ``text`` as (kind, value, offset), read only when the
+    parser asks for it, and last ("end", None, len(text))."""
+    position = 0
+    while True:
+        match = _TOKEN.match(text, position)
         if match is None:
-            raise ProcedureParseError("unrecognized token", i)
-        tok = match.group(1)
+            raise ProcedureParseError("unrecognized token", position)
+        token, op, letter, n, limit = match.groups()
         start = match.start(1)
-        if tok == "":
-            tokens.append(("end", None, len(text)))
-            break
-        if tok in ("AND", "OR"):
-            tokens.append(("op", OperatorKind[tok], start))
-        elif tok in "()":
-            tokens.append((tok, None, start))
-        else:  # rule head like "S("
-            body = _RULE_BODY.match(text, match.end(1))
-            if body is None:
-                raise ProcedureParseError(
-                    f"malformed rule after {tok!r}", start
-                )
-            rule = _make_rule(
-                _KIND_BY_LETTER[tok[0]], *body.groups(), text[start : body.end()], start
-            )
-            tokens.append(("rule", rule, start))
-            i = body.end()
-            continue
-        i = match.end(1)
-    return tokens
+        if op:
+            yield "op", OperatorKind[op], start
+        elif letter and n is None:
+            raise ProcedureParseError(f"malformed rule after {token!r}", start)
+        elif letter:
+            yield "rule", _make_rule(_KIND_BY_LETTER[letter], n, limit, token, start), start
+        elif token:
+            yield token, None, start
+        else:
+            yield "end", None, start
+            return
+        position = match.end()
 
 
 def builtin_library() -> list:

@@ -281,6 +281,12 @@ def test_deep_parentheses_are_a_parse_error(capsys):
     assert "nested too deeply" in err
 
 
+def test_first_of_several_parse_errors_exits_3(capsys):
+    code, _, err = _run(capsys, "evaluate", "S(1,2.0) OR ) S(1,9.9)")
+    assert code == EXIT_PARSE
+    assert "expected a rule or '(' (at position 12)" in err
+
+
 def test_parentheses_past_the_nesting_bound_exit_3(capsys):
     code, _, err = _run(capsys, "evaluate", "(" * 257 + "S(1,2.0)" + ")" * 257)
     assert code == EXIT_PARSE

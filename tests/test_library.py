@@ -1,6 +1,7 @@
 """Notation parsing and the built-in reference library."""
 
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,6 +16,7 @@ from qcdesign.library import (
     parse_procedure,
 )
 from qcdesign.rules import (
+    MAX_RULES,
     Operator,
     OperatorKind,
     Procedure,
@@ -83,6 +85,70 @@ def test_parse_error_reports_position():
         parse_procedure("S(1,2.7) OR ???")
     assert excinfo.value.position == 11
     assert "position 11" in str(excinfo.value)
+
+
+def _assert_error_at(text, position, fragment):
+    with pytest.raises(ProcedureParseError) as excinfo:
+        parse_procedure(text)
+    assert excinfo.value.position == position
+    assert fragment in str(excinfo.value)
+
+
+@pytest.mark.parametrize(
+    "text, position, fragment",
+    [
+        ("S(1,2.0) OR S(1,9.9)", 12, "term 'S(1,9.9)' is outside the generic-rule bounds"),
+        ("S(1,2.0) OR  M(9,1.0)", 13, "term 'M(9,1.0)'"),
+        ("S(1,2.0) OR  S(1,2.45)", 13,
+         "term 'S(1,2.45)': decision limits take at most one decimal"),
+        ("S(1,2.0) OR S(x)", 12, "malformed rule after 'S('"),
+        ("S(1,2.0) OR )", 12, "expected a rule or '('"),
+        ("(S(1,2.0) OR S(1,2.1)", 21, "expected ')'"),
+        ("S(1,2.0) S(1,2.1)", 9, "unexpected trailing input"),
+    ],
+)
+def test_canonical_parse_error_names_its_token(text, position, fragment):
+    _assert_error_at(text, position, fragment)
+
+
+@pytest.mark.parametrize(
+    "text, position",
+    [
+        ("S(1,2.0) OR ) S(1,9.9)", 12),  # not the out-of-bounds rule at 14
+        ("S(1,2.0) AND AND ???", 13),  # not the unrecognized '???' at 16
+    ],
+)
+def test_parse_error_names_the_first_of_several(text, position):
+    _assert_error_at(text, position, "expected a rule or '('")
+
+
+@pytest.mark.parametrize("op", ["OR", "AND"])
+def test_rule_count_skips_an_operator_just_before_its_parenthesis(op):
+    def chain(count):  # "(S(1,2.0)) OR(S(1,2.0))": "R(" is no rule head there
+        return "(" + f") {op}(".join(["S(1,2.0)"] * count) + ")"
+
+    assert len(parse_procedure(chain(MAX_RULES)).rules) == MAX_RULES
+    with pytest.raises(ProcedureParseError, match=f"at most {MAX_RULES} rules, got {MAX_RULES + 1}"):
+        parse_procedure(chain(MAX_RULES + 1))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(" * 200_000 + "S(1,2.0)", "S(1,2.0) AND " * 20_000 + "S(1,2.0)"],
+    ids=["nesting", "rule-count"],
+)
+def test_text_past_a_bound_is_refused_in_bounded_memory(text):
+    # The budget leaves room for parse_procedure's strip() and upper() copies.
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        with pytest.raises(ProcedureParseError):
+            parse_procedure(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before < 2 * len(text)
 
 
 @pytest.mark.parametrize(
